@@ -128,7 +128,7 @@ class Problem:
         self.family = family
         self.rank = rank
         self.cap = raw.get("cap", cap)
-        if not isinstance(self.cap, int) or self.cap < 1:
+        if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 1:
             raise SchemaError("cap must be a positive integer")
         levi = raw.get("levi", [])
         self.levi = sorted(i - 1 for i in _int_list(levi, "levi"))
@@ -339,6 +339,9 @@ def run_verify(problem: Problem) -> dict:
 
 def _atlas_points(grid, rank, budget):
     _require_keys(grid, allowed={"q_exps", "torsions"}, required={"q_exps", "torsions"}, where="grid")
+    for key in ("q_exps", "torsions"):
+        if not isinstance(grid[key], list):
+            raise SchemaError(f"grid.{key} must be a list of rationals")
     q_values = [parse_rational(x) for x in grid["q_exps"]]
     t_values = [parse_rational(x) for x in grid["torsions"]]
     per_coord = [(q, t) for q in q_values for t in t_values]
@@ -356,8 +359,8 @@ def run_atlas(problem: Problem, jobs: int = 1) -> dict:
     budget = problem.raw.get("budget", ATLAS_BUDGET)
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise SchemaError("budget must be a positive integer")
-    ctx = _build_context(problem)
     points = _atlas_points(problem.raw["grid"], problem.rank, budget)
+    ctx = _build_context(problem)
 
     def evaluate(point):
         q = [p[0] for p in point]

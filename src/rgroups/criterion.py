@@ -287,9 +287,11 @@ def _verify_splitting(ctx, group_elems, small, comp, subset, label):
         raise InvariantViolation(
             f"{label}: |G| = {len(group_elems)} != {len(small)} * {len(comp)}"
         )
+    subset = sorted(subset)
     reflections = {r: ctx.rd.reflection_of[r] for r in subset}
+    simples = ctx.rd.simple_rays(subset) if subset else ()
     for w in group_elems:
-        w0, w1 = split_off_reflections(ctx.rd, ctx.weyl, w, sorted(subset), reflections)
+        w0, w1 = split_off_reflections(ctx.rd, ctx.weyl, w, subset, reflections, simples)
         if w0.perm not in small_set or w1.perm not in comp_set:
             raise InvariantViolation(f"{label}: factorization escaped the factors")
 

@@ -58,9 +58,8 @@ class RelativeRoot:
 
 class RelativeData:
     """Relative roots of a Levi subset, plus the reflection bookkeeping
-    filled in by :func:`reflections_in_WM`.  Treated as immutable once the
-    analysis pipeline has run; the only mutation afterwards is a pure memo
-    cache for ray permutations."""
+    filled in by :func:`reflections_in_WM`.  Not mutated once the analysis
+    pipeline has run."""
 
     def __init__(self, levi: LeviDatum):
         self.levi = levi
@@ -78,7 +77,6 @@ class RelativeData:
         self.phi0: frozenset = frozenset()
         self.reflection_of: dict = {}
         self.delta0: tuple = ()
-        self._rayperm_cache: dict = {}
         self._build_rays()
 
     # -- construction ------------------------------------------------------
@@ -105,14 +103,20 @@ class RelativeData:
         return tuple(coords[j] for j in self.free)
 
     def _build_rays(self):
+        """Bucket the positive non-Levi roots by the ray of their
+        restriction, and record for every root the signed 1-based ray it
+        lies on (0 for Levi roots): the negative of a root lies on the
+        negated ray."""
+        n_pos = self.rs.n_pos
         buckets = {}
-        for idx in range(self.rs.n_pos):
+        for idx in range(n_pos):
             if idx in self.levi_roots:
                 continue
             rest = self.restrict(self.rs.roots[idx])
             key = primitive(rest)
             buckets.setdefault(key, []).append(idx)
         rays = []
+        ray_of_root = [0] * len(self.rs.roots)
         for key in sorted(buckets, key=lambda k: (sum(k), k)):
             fiber = tuple(buckets[key])
             direction = primitive(self._project(self.rs.roots[fiber[0]]))
@@ -121,33 +125,28 @@ class RelativeData:
                     index=len(rays), direction=direction, restriction=key, fiber=fiber
                 )
             )
+            for idx in fiber:
+                ray_of_root[idx] = len(rays)
+                ray_of_root[idx + n_pos] = -len(rays)
         self.rays = tuple(rays)
         self.ray_by_restriction = {r.restriction: r.index for r in self.rays}
+        self._ray_of_root = tuple(ray_of_root)
+        self._ray_heads = tuple(r.fiber[0] for r in self.rays)
 
     # -- ray actions ---------------------------------------------------------
 
     def rayperm(self, w: WeylElement) -> tuple:
         """Action of a Levi-normalizing element on the rays, as signed
         1-based indices: ray i maps to ±(j+1)."""
-        cached = self._rayperm_cache.get(w.perm)
-        if cached is not None:
-            return cached
-        out = []
-        for ray in self.rays:
-            image = self.rs.roots[w.perm[ray.fiber[0]]]
-            rest = self.restrict(image)
-            if all(c >= 0 for c in rest) and any(rest):
-                out.append(self.ray_by_restriction[primitive(rest)] + 1)
-            elif all(c <= 0 for c in rest) and any(rest):
-                negated = tuple(-c for c in rest)
-                out.append(-(self.ray_by_restriction[primitive(negated)] + 1))
-            else:
-                raise InvariantViolation(
-                    f"element {list(w.word)} does not permute the relative roots"
-                )
-        result = tuple(out)
-        self._rayperm_cache[w.perm] = result
-        return result
+        table, perm = self._ray_of_root, w.perm
+        # From a list: tuple() of a generator starts at 10 slots and resizes,
+        # which parks short tuples on CPython's free lists and grows peak RSS.
+        out = tuple([table[perm[head]] for head in self._ray_heads])
+        if 0 in out:
+            raise InvariantViolation(
+                f"element {list(w.word)} does not permute the relative roots"
+            )
+        return out
 
     def relative_coroot(self, ray: RelativeRoot):
         d = ray.direction
@@ -288,7 +287,8 @@ class WMDecomposition:
         """Unique factorization w = w0 * w1 with w0 in the reflection
         subgroup and w1 in the complement."""
         w0, w1 = split_off_reflections(
-            self.rd, self.weyl, w, sorted(self.rd.phi0), self.rd.reflection_of
+            self.rd, self.weyl, w, sorted(self.rd.phi0), self.rd.reflection_of,
+            self.rd.delta0,
         )
         if w0.perm not in self.small_set or w1.perm not in self.complement_set:
             raise InvariantViolation(
@@ -297,9 +297,10 @@ class WMDecomposition:
         return w0, w1
 
 
-def split_off_reflections(rd, weyl, w, subset, reflections):
+def split_off_reflections(rd, weyl, w, subset, reflections, simples):
     """Factor w = w0 * w1 where w0 lies in the reflection group of
     ``subset`` and w1 maps the positive rays of ``subset`` to positive rays.
+    ``simples`` is the base of ``subset``, ``rd.simple_rays(subset)``.
 
     Walks the positive system back to the fundamental one by stripping one
     simple reflection of the subset per step; termination within
@@ -308,7 +309,6 @@ def split_off_reflections(rd, weyl, w, subset, reflections):
     """
     if not subset:
         return weyl.identity, w
-    simples = rd.simple_rays(subset)
     x = weyl.inv(w)
     prefix = weyl.identity
     for _ in range(len(subset) + 1):
@@ -331,13 +331,17 @@ def split_off_reflections(rd, weyl, w, subset, reflections):
 
 
 def decompose_WM(rd: RelativeData, wm: RelativeWeylGroup, weyl: WeylGroup) -> WMDecomposition:
-    reflections = [rd.reflection_of[r] for r in sorted(rd.phi0)]
+    """W0 is generated by the reflections of the base delta0 (phi0 is a
+    root system); the order product below guards that."""
+    phi0 = sorted(rd.phi0)
+    reflections = [rd.reflection_of[r] for r in rd.delta0]
     small = weyl.closure(reflections) if reflections else (weyl.identity,)
-    complement = tuple(
-        w
-        for w in wm.reps
-        if all(s > 0 for s in (rd.rayperm(w)[r] for r in sorted(rd.phi0)))
-    )
+    complement = []
+    for w in wm.reps:
+        perm = rd.rayperm(w)
+        if all(perm[r] > 0 for r in phi0):
+            complement.append(w)
+    complement = tuple(complement)
     if len(wm.reps) != len(small) * len(complement):
         raise InvariantViolation(
             f"|W_M| = {len(wm.reps)} but |W0|*|W1| = {len(small)}*{len(complement)}"
@@ -418,10 +422,11 @@ def certify(rs: RootSystem, weyl: WeylGroup, theta) -> CertResult:
     n_pos = rs.n_pos
 
     identity = weyl.identity
-    if identity not in wm.reps:
+    rep_perms = frozenset(w.perm for w in wm.reps)
+    if identity.perm not in rep_perms:
         failures.append("identity missing from W_M")
     for w in wm.reps:
-        if weyl.inv(w) not in wm.reps:
+        if _invert_perm(w.perm) not in rep_perms:
             failures.append(f"inverse of {list(w.word)} missing")
             break
 
@@ -469,9 +474,7 @@ def certify(rs: RootSystem, weyl: WeylGroup, theta) -> CertResult:
             for b in dec.complement:
                 key = weyl.mult(a, b).perm
                 products[key] = products.get(key, 0) + 1
-        if sorted(products.values()) != [1] * len(wm.reps) or set(products) != set(
-            w.perm for w in wm.reps
-        ):
+        if sorted(products.values()) != [1] * len(wm.reps) or set(products) != rep_perms:
             failures.append("direct pair count contradicts unique factorization")
 
     for delta in rd.delta0:

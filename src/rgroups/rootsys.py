@@ -447,33 +447,52 @@ class WeylGroup:
 def generate_weyl(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
     """Enumerate the full Weyl group by breadth-first closure over the
     simple reflections.  Refuses upfront when the closed-form order exceeds
-    the cap, and guards the closure itself as a backstop."""
+    the cap, and guards the closure itself as a backstop.
+
+    The closure runs level by level in the length, so each new element q
+    finds the canonical word of s_i q one level down, with i the smallest
+    left descent of q: word(q) = (i,) + word(s_i q), the recursion that
+    :func:`canonical_word` unrolls."""
     expected = weyl_order(rs.cartan.family, rs.cartan.rank)
     if expected > cap:
         raise CapExceeded(
             f"|W({rs.cartan.family}{rs.cartan.rank})| = {expected} exceeds cap {cap}"
         )
     identity = rs._identity_perm
-    seen = {identity}
+    n = rs.n_pos
+    simple_perms = rs.simple_perms
+    words = {identity: ()}
     frontier = [identity]
+    depth = 0
     while frontier:
         fresh = []
         for p in frontier:
-            for s in rs.simple_perms:
+            for s in simple_perms:
                 q = _compose(p, s)
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            f"Weyl closure exceeded cap {cap} (partial size {len(seen)})"
-                        )
+                if q in words:
+                    continue
+                descent = next((i for i in range(rs.rank) if q.index(i) >= n), None)
+                shorter = None if descent is None else words.get(
+                    _compose(simple_perms[descent], q)
+                )
+                if shorter is None or len(shorter) != depth:
+                    raise InvariantViolation(
+                        f"Weyl closure found no canonical word at length {depth} "
+                        "below a new element"
+                    )
+                words[q] = (descent,) + shorter
+                fresh.append(q)
+                if len(words) > cap:
+                    raise CapExceeded(
+                        f"Weyl closure exceeded cap {cap} (partial size {len(words)})"
+                    )
         frontier = fresh
-    if len(seen) != expected:
+        depth += 1
+    if len(words) != expected:
         raise InvariantViolation(
-            f"enumerated {len(seen)} elements, closed form says {expected}"
+            f"enumerated {len(words)} elements, closed form says {expected}"
         )
-    elements = [WeylElement(rs, p, canonical_word(rs, p)) for p in seen]
+    elements = [WeylElement(rs, p, word) for p, word in words.items()]
     elements.sort(key=lambda w: (len(w.word), w.word))
     group = WeylGroup(rs, tuple(elements), None)
     group.generators = tuple(group.by_perm(s) for s in rs.simple_perms)

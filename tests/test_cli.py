@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rgroups.cli import main
 
 
@@ -107,6 +109,12 @@ def test_cap_exceeded_is_engine_rejection(tmp_path):
     assert code == 3  # default cap excludes the two largest exceptional groups
 
 
+def test_boolean_cap_is_schema_error(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "decompose", {"family": "A", "rank": 2, "cap": True})
+    assert code == 2  # not cap 1 and a CapExceeded
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
 def test_unknown_direction_is_schema_error(tmp_path):
     payload = {
         "family": "A",
@@ -162,6 +170,15 @@ def test_atlas_budget_rejection(tmp_path):
     }
     code, _ = run_cli(tmp_path, "atlas", payload)
     assert code == 3  # 16 points over the stated budget
+
+
+@pytest.mark.parametrize("key", ["q_exps", "torsions"])
+def test_atlas_string_grid_is_schema_error(tmp_path, capsys, key):
+    grid = {"q_exps": ["0", "1"], "torsions": ["0"]}
+    grid[key] = "01"  # a string would otherwise be iterated as ["0", "1"]
+    code, text = run_cli(tmp_path, "atlas", {"family": "A", "rank": 1, "grid": grid})
+    assert code == 2 and text == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
 
 def test_atlas_csv_format(tmp_path):

@@ -1,7 +1,14 @@
 import pytest
 
-from rgroups import EngineRejection, certify, longest_element
-from rgroups.levi import relative_reflection_simple
+from rgroups import (
+    EngineRejection,
+    InvariantViolation,
+    analyze,
+    certify,
+    longest_element,
+)
+from rgroups._rat import primitive
+from rgroups.levi import decompose_WM, relative_reflection_simple
 
 
 def test_relative_roots_counts(context):
@@ -155,3 +162,70 @@ def test_certify_rank_le_three(system, family, rank):
         theta = [i for i in range(rank) if mask >> i & 1]
         result = certify(rs, weyl, theta)
         assert result.ok, (family, rank, theta, result.failures)
+
+
+def primitive_rayperm(rd, w):
+    """Ray permutation recomputed from the restriction of each ray head's
+    image, normalized with ``primitive``."""
+    out = []
+    for ray in rd.rays:
+        rest = rd.restrict(rd.rs.roots[w.perm[ray.fiber[0]]])
+        sign = 1 if all(c >= 0 for c in rest) else -1
+        key = primitive(tuple(sign * c for c in rest))
+        out.append(sign * (rd.ray_by_restriction[key] + 1))
+    return tuple(out)
+
+
+LEVI_SYSTEMS = [("B", 3), ("D", 4), ("F", 4)]
+
+
+@pytest.mark.parametrize("family,rank", LEVI_SYSTEMS)
+def test_rayperm_table_matches_primitive(context, family, rank):
+    for mask in range(2**rank):
+        theta = tuple(i for i in range(rank) if mask >> i & 1)
+        ctx = context(family, rank, theta)
+        for w in ctx.wm.reps:
+            assert ctx.rd.rayperm(w) == primitive_rayperm(ctx.rd, w), (theta, w.word)
+
+
+@pytest.mark.parametrize("family,rank", LEVI_SYSTEMS)
+def test_w0_from_base_equals_closure_over_phi0(context, family, rank):
+    for mask in range(2**rank):
+        theta = tuple(i for i in range(rank) if mask >> i & 1)
+        ctx = context(family, rank, theta)
+        reflections = [ctx.rd.reflection_of[r] for r in sorted(ctx.rd.phi0)]
+        full = ctx.weyl.closure(reflections) if reflections else (ctx.weyl.identity,)
+        assert len(ctx.dec.small) == len(full), theta
+        assert ctx.dec.small == full, theta
+
+
+def test_rayperm_rejects_element_sending_a_ray_into_the_levi(context):
+    ctx = context("A", 2, (0,))
+    w = ctx.weyl.element_from_word((1, 0))  # s_2 s_1 sends alpha_2 to alpha_1
+    head = ctx.rd.rays[0].fiber[0]
+    assert w.perm[head] in ctx.rd.levi_roots
+    with pytest.raises(InvariantViolation, match="does not permute the relative roots"):
+        ctx.rd.rayperm(w)
+
+
+def test_decompose_order_product_guard_fires(system, monkeypatch):
+    rs, weyl = system("B", 3)
+    ctx = analyze(rs, weyl, ())
+    assert len(ctx.rd.delta0) == 3
+    monkeypatch.setattr(ctx.rd, "delta0", ctx.rd.delta0[:1])
+    with pytest.raises(InvariantViolation, match="W0"):
+        decompose_WM(ctx.rd, ctx.wm, weyl)
+
+
+def test_relative_data_not_mutated_after_analysis(system):
+    rs, weyl = system("B", 3)
+    ctx = analyze(rs, weyl, (0,))
+    before = {k: dict(v) if isinstance(v, dict) else v for k, v in vars(ctx.rd).items()}
+    for w in weyl:  # also elements outside W_M, as long as they move rays to rays
+        try:
+            ctx.rd.rayperm(w)
+        except InvariantViolation:
+            pass
+    for w in ctx.wm.reps:
+        ctx.dec.factor(w)
+    assert vars(ctx.rd) == before

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rgroups import (
     EngineRejection,
     CapExceeded,
+    InvariantViolation,
     act,
     build_cartan,
     build_root_system,
@@ -217,3 +218,28 @@ def test_act_is_linear_a2(word, u, v):
     rhs = tuple(a + b for a, b in zip(w.act(u), w.act(v)))
     assert lhs == rhs
     assert act(w, u) == w.act(u)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("B", 5),
+     ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2)],
+)
+def test_enumeration_words_are_canonical(system, family, rank):
+    rs, weyl = system(family, rank)
+    for w in weyl:
+        assert w.word == canonical_word(rs, w.perm)
+
+
+def test_enumeration_word_guard_fires():
+    rs = build_root_system(build_cartan("A", 2))
+    rs.n_pos = 0  # every root now counts as negative: no descent walks down
+    with pytest.raises(InvariantViolation, match="no canonical word"):
+        generate_weyl(rs)
+
+
+def test_enumeration_cap_backstop_fires(monkeypatch):
+    rs = build_root_system(build_cartan("A", 3))
+    monkeypatch.setattr("rgroups.rootsys.weyl_order", lambda family, rank: 5)
+    with pytest.raises(CapExceeded, match="partial size 6"):
+        generate_weyl(rs, cap=5)
