@@ -46,7 +46,6 @@ from .levi import (
     analyze,
     certify,
     decompose_WM,
-    delta_M_0,
     reflections_in_WM,
     relative_reflection_simple,
     relative_roots,
@@ -57,7 +56,6 @@ from .rootsys import (
     RootSystem,
     WeylElement,
     WeylGroup,
-    act,
     build_cartan,
     build_root_system,
     generate_weyl,

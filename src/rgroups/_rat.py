@@ -34,22 +34,6 @@ def parse_rational(value) -> Fraction:
     raise SchemaError(f"cannot parse rational from {type(value).__name__}")
 
 
-def format_rational(x) -> str:
-    return str(Fraction(x))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u: Vec, v: Vec):
     return sum(a * b for a, b in zip(u, v))
 

@@ -55,9 +55,6 @@ class ValueExp:
         return {"q_exp": str(self.q_exp), "torsion": str(self.torsion)}
 
 
-TRIVIAL_VALUE = ValueExp(Fraction(0), Fraction(0))
-
-
 def is_wall(value: ValueExp) -> bool:
     """The two reducibility walls of a rank-one unramified induction: the
     character value is q^{+1} or q^{-1} exactly."""
@@ -118,15 +115,6 @@ def param_add(a: UnramifiedParam, b: UnramifiedParam) -> UnramifiedParam:
         a.theta & b.theta,
         tuple(x + y for x, y in zip(a.q_part, b.q_part)),
         tuple(x + y for x, y in zip(a.t_part, b.t_part)),
-    )
-
-
-def param_sub(a: UnramifiedParam, b: UnramifiedParam) -> UnramifiedParam:
-    return UnramifiedParam(
-        a.rs,
-        a.theta & b.theta,
-        tuple(x - y for x, y in zip(a.q_part, b.q_part)),
-        tuple(x - y for x, y in zip(a.t_part, b.t_part)),
     )
 
 

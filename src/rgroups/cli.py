@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iproduct
 
 from . import __version__
@@ -265,7 +264,8 @@ def run_decide_ps(problem: Problem) -> dict:
     return {"report": decide_ps_unramified(ctx, lam).to_dict()}
 
 
-def run_decide_gps(problem: Problem) -> dict:
+def _gps_datum(problem: Problem):
+    """Context, exponent and optional sigma oracle of a decide-gps problem."""
     ctx = _build_context(problem)
     nu = _parse_character(problem.raw.get("character"), ctx.rs, ctx.theta)
     sigma_spec = problem.raw.get("sigma")
@@ -273,7 +273,11 @@ def run_decide_gps(problem: Problem) -> dict:
     if sigma_spec is not None:
         oracle = _parse_sigma(sigma_spec, ctx)
         _require_corank_coverage(oracle, ctx)
-    return {"report": decide_gps(ctx, nu, oracle).to_dict()}
+    return ctx, nu, oracle
+
+
+def run_decide_gps(problem: Problem) -> dict:
+    return {"report": decide_gps(*_gps_datum(problem)).to_dict()}
 
 
 def run_verify(problem: Problem) -> dict:
@@ -283,7 +287,7 @@ def run_verify(problem: Problem) -> dict:
     if max_rank is None:
         ranks = [problem.rank]
     else:
-        if not isinstance(max_rank, int) or max_rank < 1:
+        if not isinstance(max_rank, int) or isinstance(max_rank, bool) or max_rank < 1:
             raise SchemaError("max_rank must be a positive integer")
         ranks = list(range(1, max_rank + 1))
     cases = []
@@ -351,7 +355,7 @@ def _atlas_points(grid, rank, budget):
     return list(iproduct(per_coord, repeat=rank))
 
 
-def run_atlas(problem: Problem, jobs: int = 1) -> dict:
+def run_atlas(problem: Problem) -> dict:
     if problem.levi:
         raise SchemaError("atlas sweeps principal series; drop the levi key")
     if "grid" not in problem.raw:
@@ -362,7 +366,8 @@ def run_atlas(problem: Problem, jobs: int = 1) -> dict:
     points = _atlas_points(problem.raw["grid"], problem.rank, budget)
     ctx = _build_context(problem)
 
-    def evaluate(point):
+    rows = []
+    for point in points:
         q = [p[0] for p in point]
         t = [p[1] for p in point]
         lam = param_from_coords(ctx.rs, (), q, t, basis="fundamental-weight")
@@ -377,38 +382,28 @@ def run_atlas(problem: Problem, jobs: int = 1) -> dict:
             reason = "wall"
         else:
             reason = "r-group"
-        return {
+        rows.append({
             "q": [str(x) for x in q],
             "t": [str(x) for x in t],
             "verdict": report.verdict,
             "reason_class": reason,
             "r_order": r_order,
             "wall_count": len(report.walls),
-        }
-
-    if jobs > 1 and points:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(evaluate, points))
-    else:
-        rows = [evaluate(p) for p in points]
+        })
     return {"rows": rows, "count": len(rows)}
 
 
 def run_product_count(problem: Problem) -> dict:
-    ctx = _build_context(problem)
-    nu = _parse_character(problem.raw.get("character"), ctx.rs, ctx.theta)
-    sigma_spec = problem.raw.get("sigma")
-    oracle = None
-    if sigma_spec is not None:
-        oracle = _parse_sigma(sigma_spec, ctx)
-        _require_corank_coverage(oracle, ctx)
-    report = decide_gps(ctx, nu, oracle)
     if "blocks" not in problem.raw or "factor_counts" not in problem.raw:
         raise SchemaError("product-count needs blocks and factor_counts")
+    if not isinstance(problem.raw["blocks"], list):
+        raise SchemaError("blocks must be a list of integer lists")
     blocks = [
         [i - 1 for i in _int_list(b, "blocks[]")] for b in problem.raw["blocks"]
     ]
     counts = _int_list(problem.raw["factor_counts"], "factor_counts")
+    ctx, nu, oracle = _gps_datum(problem)
+    report = decide_gps(ctx, nu, oracle)
     total = product_formula_count(ctx, blocks, counts, report)
     return {
         "count": total,
@@ -439,6 +434,8 @@ def run_predict(problem: Problem) -> dict:
             pair = _int_list(item["blocks"], "pairwise.blocks")
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise SchemaError("pairwise.blocks must name two distinct blocks")
+            if min(pair) < 1:
+                raise SchemaError("pairwise.blocks indices must be at least 1")
             if not isinstance(item["irreducible"], bool):
                 raise SchemaError("pairwise.irreducible must be boolean")
             pairwise[frozenset(p - 1 for p in pair)] = item["irreducible"]
@@ -531,6 +528,7 @@ RUNNERS = {
     "decide-ps": run_decide_ps,
     "decide-gps": run_decide_gps,
     "verify": run_verify,
+    "atlas": run_atlas,
     "product-count": run_product_count,
     "predict": run_predict,
 }
@@ -548,7 +546,6 @@ def main(argv=None) -> int:
         p.add_argument("--output", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="json", choices=("json", "text", "csv"))
         p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
-        p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -564,13 +561,8 @@ def main(argv=None) -> int:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from None
-        if args.jobs < 1:
-            raise SchemaError("--jobs must be at least 1")
         problem = Problem(raw, args.verb, args.cap)
-        if args.verb == "atlas":
-            results = run_atlas(problem, jobs=args.jobs)
-        else:
-            results = RUNNERS[args.verb](problem)
+        results = RUNNERS[args.verb](problem)
         env = envelope(problem, results)
         if args.format == "json":
             payload = json.dumps(env, sort_keys=True, indent=2) + "\n"

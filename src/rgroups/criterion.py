@@ -39,6 +39,7 @@ from .charlat import (
     param_add,
     same_character,
     stabilizer as char_stabilizer,
+    trivial_param,
     weyl_act,
 )
 from .errors import EngineRejection, InvariantViolation
@@ -55,122 +56,58 @@ def _sorted_elements(elems):
     return tuple(sorted(set(elems), key=lambda w: (len(w.word), w.word)))
 
 
+def _directions(rd, rays) -> list:
+    return [list(rd.rays[r].direction) for r in rays]
+
+
 # -- sigma oracles ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SigmaOracle:
     """Combinatorial shadow of the inducing supercuspidal: twisted
-    stabilizer pairs plus rank-one flags keyed by ray index.
+    stabilizer pairs (w, chi) meaning w.sigma = sigma * chi, plus rank-one
+    flags keyed by ray index.
 
-    kind 'explicit'   -- user-supplied pairs and flags
-    kind 'split'      -- unramified principal-series datum; the torsion part
-                         of the character acts as sigma, twists and flags are
-                         computed on demand
-    kind 'trivial'    -- trivial twists on a stated support (defaults to all
-                         of W_M), flags supplied or defaulted
+    With ``pairs`` None, sigma is the torus character ``sigma`` (None for
+    the trivial one) and every element of W_M is paired with the twist
+    w.sigma - sigma: the principal-series case.
     """
 
-    def __init__(self, kind, *, pairs=None, lam=None, support=None,
-                 mu_zero=None, corank_irred=None):
-        self.kind = kind
-        self.pairs = pairs
-        self.lam = lam
-        self.support = support
-        self.mu_zero = mu_zero
-        self.corank_irred = corank_irred
+    pairs: tuple | None = None
+    sigma: UnramifiedParam | None = None
+    mu_zero: dict | None = None
+    corank_irred: dict | None = None
 
     # -- stabilizers -------------------------------------------------------
 
     def datum_stabilizer(self, ctx: LeviContext, nu: UnramifiedParam) -> tuple:
-        if self.kind == "split":
-            return char_stabilizer(self.lam, ctx.wm.reps)
-        if self.kind == "trivial":
-            support = self.support if self.support is not None else ctx.wm.reps
-            return _sorted_elements(
-                w for w in support if same_character(weyl_act(w, nu), nu)
-            )
-        hits = []
-        for w, chi in self.pairs:
-            if same_character(param_add(chi, weyl_act(w, nu)), nu):
-                hits.append(w)
-        return _sorted_elements(hits)
+        if self.pairs is None:
+            lam = nu if self.sigma is None else param_add(nu, self.sigma)
+            return char_stabilizer(lam, ctx.wm.reps)
+        return _sorted_elements(
+            w
+            for w, chi in self.pairs
+            if same_character(param_add(chi, weyl_act(w, nu)), nu)
+        )
 
     def sigma_stabilizer(self, ctx: LeviContext) -> tuple:
         """Elements fixing sigma itself (trivial twist)."""
-        if self.kind == "split":
-            torsion = self.lam.torsion_only()
-            return char_stabilizer(torsion, ctx.wm.reps)
-        if self.kind == "trivial":
-            return self.support if self.support is not None else ctx.wm.reps
-        return _sorted_elements(
-            w for w, chi in self.pairs if is_trivial_character(chi)
-        )
+        return self.datum_stabilizer(ctx, trivial_param(ctx.rs, ctx.theta))
 
     def all_twists_trivial(self, ctx: LeviContext) -> bool:
-        if self.kind == "trivial":
-            return True
-        if self.kind == "split":
-            torsion = self.lam.torsion_only()
-            return all(
-                same_character(weyl_act(w, torsion), torsion) for w in ctx.wm.reps
-            )
-        return all(is_trivial_character(chi) for _, chi in self.pairs)
-
-    # -- flag maps -----------------------------------------------------------
-
-    def values(self, ctx: LeviContext):
-        """Raw pairing table of the full character against every ray
-        (split mode only)."""
-        return {
-            r: eval_on_coroot(ctx.rd, self.lam, ctx.rd.rays[r])
-            for r in range(len(ctx.rd.rays))
-        }
-
-    def corank_map(self, ctx: LeviContext, phi0_sigma) -> dict:
-        """Irreducibility flags for the co-rank-one inductions over every
-        reflection-carrying ray."""
-        domain = sorted(ctx.rd.phi0)
-        if self.kind == "split":
-            vals = self.values(ctx)
-            out = {}
-            for r in domain:
-                v = vals[r]
-                fixed = r in phi0_sigma
-                out[r] = not is_wall(v) and not (fixed and not v.is_trivial())
-            return out
-        if not domain:
-            return {}
-        if self.corank_irred is None:
-            raise EngineRejection(
-                "oracle must supply corank_irred flags on every reflection-carrying ray"
-            )
-        missing = [r for r in domain if r not in self.corank_irred]
-        if missing:
-            dirs = [list(ctx.rd.rays[r].direction) for r in missing]
-            raise EngineRejection(f"corank_irred flags missing for rays {dirs}")
-        return {r: bool(self.corank_irred[r]) for r in domain}
-
-    def mu_map(self, ctx: LeviContext, phi0_sigma) -> dict:
-        """Plancherel-zero flags on the fixed reflection-carrying rays."""
-        domain = sorted(phi0_sigma)
-        if self.kind == "split":
-            vals = self.values(ctx)
-            return {r: vals[r].torsion == 0 for r in domain}
-        if not domain:
-            return {}
-        if self.mu_zero is None:
-            raise EngineRejection("oracle must supply mu_zero flags on the fixed rays")
-        missing = [r for r in domain if r not in self.mu_zero]
-        if missing:
-            dirs = [list(ctx.rd.rays[r].direction) for r in missing]
-            raise EngineRejection(f"mu_zero flags missing for rays {dirs}")
-        return {r: bool(self.mu_zero[r]) for r in domain}
+        if self.pairs is not None:
+            return all(is_trivial_character(chi) for _, chi in self.pairs)
+        sigma = self.sigma
+        return sigma is None or all(
+            same_character(weyl_act(w, sigma), sigma) for w in ctx.wm.reps
+        )
 
     # -- validation ----------------------------------------------------------
 
     def validate_pairs(self, ctx: LeviContext) -> None:
         """Twisted-subgroup closure of explicit stabilizer pairs."""
-        if self.kind != "explicit":
+        if self.pairs is None:
             return
         rep_set = {w.perm for w in ctx.wm.reps}
         for w, _ in self.pairs:
@@ -216,18 +153,16 @@ class SigmaOracle:
 def unramified_oracle(ctx: LeviContext, lam: UnramifiedParam):
     """Canonical oracle for an unramified principal-series datum: the real
     exponent is the parameter, the torsion twist plays sigma."""
-    return lam.q_only(), SigmaOracle("split", lam=lam)
+    return lam.q_only(), SigmaOracle(sigma=lam.torsion_only())
 
 
-def trivial_twist_oracle(ctx: LeviContext, support=None, mu_zero=None, corank_irred=None):
-    return SigmaOracle(
-        "trivial", support=support, mu_zero=mu_zero, corank_irred=corank_irred
-    )
+def trivial_twist_oracle(ctx: LeviContext, mu_zero=None, corank_irred=None):
+    """Every element of W_M fixes sigma."""
+    return SigmaOracle(mu_zero=mu_zero, corank_irred=corank_irred)
 
 
 def explicit_oracle(pairs, mu_zero=None, corank_irred=None):
-    return SigmaOracle("explicit", pairs=tuple(pairs), mu_zero=mu_zero,
-                       corank_irred=corank_irred)
+    return SigmaOracle(tuple(pairs), mu_zero=mu_zero, corank_irred=corank_irred)
 
 
 # -- core operations ---------------------------------------------------------
@@ -401,13 +336,8 @@ class CriterionReport:
     shortcuts: dict | None = None
     orbit_note: dict | None = None
     positivity_choice: str = POSITIVITY_NOTE
-    _ctx: LeviContext = field(default=None, repr=False)
-    _stab_elements: tuple = field(default=None, repr=False)
     _r_elements: tuple = field(default=None, repr=False)
-    _r_prime_elements: tuple = field(default=None, repr=False)
     _corank_by_ray: dict = field(default=None, repr=False)
-    _mu_by_ray: dict = field(default=None, repr=False)
-    _phi0_sigma_set: frozenset = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -450,20 +380,12 @@ def _relative_summary(ctx: LeviContext) -> dict:
         "relative_roots": len(rd.rays),
         "directions": [list(r.direction) for r in rd.rays],
         "fiber_sizes": [len(r.fiber) for r in rd.rays],
-        "phi0": [list(rd.rays[r].direction) for r in sorted(rd.phi0)],
-        "delta0": [list(rd.rays[r].direction) for r in rd.delta0],
+        "phi0": _directions(rd, sorted(rd.phi0)),
+        "delta0": _directions(rd, rd.delta0),
         "wm_order": len(ctx.wm.reps),
         "w0m_order": len(dec.small),
         "w1m_order": len(dec.complement),
     }
-
-
-def _value_table(ctx: LeviContext, lam: UnramifiedParam) -> list:
-    out = []
-    for ray in ctx.rd.rays:
-        v = eval_on_coroot(ctx.rd, lam, ray)
-        out.append({"direction": list(ray.direction), **v.as_strings()})
-    return out
 
 
 def _orbit_note(ctx: LeviContext) -> dict:
@@ -480,23 +402,73 @@ def _orbit_note(ctx: LeviContext) -> dict:
 # -- the decision procedures --------------------------------------------------
 
 
+def _supplied_flags(ctx: LeviContext, flags, domain, name: str, where: str) -> dict:
+    """An oracle's rank-one flags on the sorted rays ``domain``."""
+    if not domain:
+        return {}
+    if flags is None:
+        raise EngineRejection(f"oracle must supply {name} flags {where}")
+    missing = [r for r in domain if r not in flags]
+    if missing:
+        raise EngineRejection(f"{name} flags missing for rays {_directions(ctx.rd, missing)}")
+    return {r: bool(flags[r]) for r in domain}
+
+
+def _report(ctx: LeviContext, mode, values, stab, fixed, small, comp, reasons, **extra):
+    """The fields both readings share.  ``values`` maps every ray to the
+    pairing of the full character; ``fixed`` is the reflection-carrying ray
+    set the R-group is split against.  Irreducible exactly when no reason
+    clause is listed."""
+    rd = ctx.rd
+    return CriterionReport(
+        mode=mode,
+        family=ctx.rs.cartan.family,
+        rank=ctx.rs.rank,
+        theta=sorted(i + 1 for i in ctx.theta),
+        relative=_relative_summary(ctx),
+        values=[
+            {"direction": list(ray.direction), **values[r].as_strings()}
+            for r, ray in enumerate(rd.rays)
+        ],
+        phi0_sigma=_directions(rd, sorted(fixed)),
+        stab=_summary(stab),
+        w0=_summary(small),
+        r=_summary(comp),
+        verdict="reducible" if reasons else "irreducible",
+        reasons=reasons or [{"clause": "irreducible"}],
+        orbit_note=_orbit_note(ctx),
+        _r_elements=comp,
+        **extra,
+    )
+
+
+def _pairing_values(ctx: LeviContext, lam: UnramifiedParam) -> dict:
+    rd = ctx.rd
+    return {r: eval_on_coroot(rd, lam, ray) for r, ray in enumerate(rd.rays)}
+
+
+def _walls(ctx: LeviContext, values) -> list:
+    return _directions(ctx.rd, [r for r, v in values.items() if is_wall(v)])
+
+
 def decide_gps(ctx: LeviContext, nu: UnramifiedParam, oracle: SigmaOracle | None = None) -> CriterionReport:
     """Irreducibility of a generalized principal series from its
     combinatorial datum: trivial modified R-group plus irreducible
-    co-rank-one inductions."""
+    co-rank-one inductions.
+
+    Without an oracle the datum is an unramified principal-series
+    character: its torsion part is sigma, and the rank-one flags come from
+    its pairing values (a wall, or a fixed ray with a nontrivial value)."""
     rd = ctx.rd
-    lam_full = None
-    if oracle is None:
+    lam = nu
+    internal = oracle is None
+    if internal:
         if ctx.theta:
             raise EngineRejection(
                 "a sigma oracle is required for a proper Levi subset; only the "
                 "principal-series case is decided oracle-free"
             )
-        lam_full = nu
-        nu, oracle = unramified_oracle(ctx, nu)
-    elif oracle.kind == "split":
-        lam_full = oracle.lam
-        nu = oracle.lam.q_only()
+        nu, oracle = unramified_oracle(ctx, lam)
     else:
         if not is_trivial_character(nu.torsion_only()):
             raise EngineRejection(
@@ -506,32 +478,35 @@ def decide_gps(ctx: LeviContext, nu: UnramifiedParam, oracle: SigmaOracle | None
         oracle.validate_pairs(ctx)
 
     stab = oracle.datum_stabilizer(ctx, nu)
-    phi0_sigma = phi_sigma_nu_0(ctx, stab)
-    corank = oracle.corank_map(ctx, phi0_sigma)
-    mu_map = oracle.mu_map(ctx, phi0_sigma)
+    fixed = phi_sigma_nu_0(ctx, stab)
+    values = _pairing_values(ctx, lam)
+    if internal:
+        corank = {
+            r: not is_wall(values[r]) and not (r in fixed and not values[r].is_trivial())
+            for r in sorted(rd.phi0)
+        }
+        mu_map = {r: values[r].torsion == 0 for r in sorted(fixed)}
+    else:
+        corank = _supplied_flags(
+            ctx, oracle.corank_irred, sorted(rd.phi0), "corank_irred",
+            "on every reflection-carrying ray",
+        )
+        mu_map = _supplied_flags(ctx, oracle.mu_zero, sorted(fixed), "mu_zero", "on the fixed rays")
     _check_orbit_constancy(ctx, stab, corank, "corank_irred")
     _check_orbit_constancy(ctx, stab, mu_map, "mu_zero")
 
-    small, comp = r_group(ctx, stab, phi0_sigma)
+    small, comp = r_group(ctx, stab, fixed)
     d1_rays, d1_group, d1_base = delta_1(ctx, nu)
-    w0_prime, r_prime, r0 = knapp_stein_ladder(
-        ctx, stab, phi0_sigma, mu_map, small, comp
-    )
+    w0_prime, r_prime, r0 = knapp_stein_ladder(ctx, stab, fixed, mu_map, small, comp)
 
-    bad_rays = sorted(r for r in rd.phi0 if not corank[r])
-    verdict = "irreducible" if len(comp) == 1 and not bad_rays else "reducible"
     reasons = []
     if len(comp) > 1:
         reasons.append({"clause": "modified-r-group-nontrivial", "order": len(comp)})
+    bad_rays = [r for r in sorted(rd.phi0) if not corank[r]]
     if bad_rays:
         reasons.append(
-            {
-                "clause": "corank-one-reducible",
-                "directions": [list(rd.rays[r].direction) for r in bad_rays],
-            }
+            {"clause": "corank-one-reducible", "directions": _directions(rd, bad_rays)}
         )
-    if not reasons:
-        reasons.append({"clause": "irreducible"})
 
     d1_set = {w.perm for w in d1_group}
     contains = all(w.perm in d1_set for w in stab)
@@ -540,28 +515,16 @@ def decide_gps(ctx: LeviContext, nu: UnramifiedParam, oracle: SigmaOracle | None
         raise InvariantViolation(
             "stabilizer escaped the group generated by the identity-value rays"
         )
-    delta1_info = {
-        "rays": [list(rd.rays[r].direction) for r in sorted(d1_rays)],
-        "base": [list(rd.rays[r].direction) for r in d1_base],
-        "group_order": len(d1_group),
-        "contains_stabilizer": contains,
-        "asserted": asserted,
-    }
 
-    report = CriterionReport(
-        mode="decide-gps",
-        family=ctx.rs.cartan.family,
-        rank=ctx.rs.rank,
-        theta=sorted(i + 1 for i in ctx.theta),
-        relative=_relative_summary(ctx),
-        values=_value_table(ctx, lam_full) if lam_full is not None else _value_table(ctx, nu),
-        phi0_sigma=[list(rd.rays[r].direction) for r in sorted(phi0_sigma)],
-        stab=_summary(stab),
-        w0=_summary(small),
-        r=_summary(comp),
-        verdict=verdict,
-        reasons=reasons,
-        delta1=delta1_info,
+    report = _report(
+        ctx, "decide-gps", values, stab, fixed, small, comp, reasons,
+        delta1={
+            "rays": _directions(rd, sorted(d1_rays)),
+            "base": _directions(rd, d1_base),
+            "group_order": len(d1_group),
+            "contains_stabilizer": contains,
+            "asserted": asserted,
+        },
         w0_prime=_summary(w0_prime),
         r_prime=_summary(r_prime),
         r0=_summary(r0),
@@ -569,98 +532,51 @@ def decide_gps(ctx: LeviContext, nu: UnramifiedParam, oracle: SigmaOracle | None
             {
                 "direction": list(rd.rays[r].direction),
                 "irreducible": corank[r],
-                "source": "internal" if oracle.kind == "split" else "oracle",
+                "source": "internal" if internal else "oracle",
             }
             for r in sorted(rd.phi0)
         ],
         mu=[
             {"direction": list(rd.rays[r].direction), "mu_zero": mu_map[r]}
-            for r in sorted(phi0_sigma)
+            for r in sorted(fixed)
         ],
-        walls=(
-            [
-                list(rd.rays[r].direction)
-                for r in range(len(rd.rays))
-                if is_wall(eval_on_coroot(rd, lam_full, rd.rays[r]))
-            ]
-            if lam_full is not None
-            else None
-        ),
-        orbit_note=_orbit_note(ctx),
-        _ctx=ctx,
-        _stab_elements=stab,
-        _r_elements=comp,
-        _r_prime_elements=r_prime,
+        walls=_walls(ctx, values) if internal else None,
         _corank_by_ray=corank,
-        _mu_by_ray=mu_map,
-        _phi0_sigma_set=phi0_sigma,
     )
     report.shortcuts = {
-        "regular": regular_shortcut(report),
-        "unitary": unitary_shortcut(report, nu),
+        "regular": regular_shortcut(report, corank),
+        "unitary": unitary_shortcut(report, ctx, nu, corank, mu_map),
     }
     return report
 
 
 def decide_ps_unramified(ctx: LeviContext, lam: UnramifiedParam) -> CriterionReport:
-    """Exact principal-series criterion: no wall value anywhere and a
-    trivial complement to the reflection part of the character stabilizer."""
+    """Exact principal-series criterion with Keys' R-group: no wall value
+    anywhere and a trivial complement to the reflections of the
+    value-trivial rays inside the character stabilizer."""
     if ctx.theta:
         raise EngineRejection("the principal-series path needs the full torus Levi")
-    rd, weyl = ctx.rd, ctx.weyl
+    values = _pairing_values(ctx, lam)
+    fixed = frozenset(r for r, v in values.items() if v.is_trivial())
+    stab = char_stabilizer(lam, ctx.weyl.elements)
+    small, comp = r_group(ctx, stab, fixed)
+    walls = _walls(ctx, values)
 
-    values = {
-        r: eval_on_coroot(rd, lam, rd.rays[r]) for r in range(len(rd.rays))
-    }
-    phi_lambda0 = frozenset(r for r, v in values.items() if v.is_trivial())
-    stab = char_stabilizer(lam, weyl.elements)
-    small, comp = r_group(ctx, stab, phi_lambda0)
-    walls = sorted(r for r, v in values.items() if is_wall(v))
-
-    verdict = "irreducible" if len(comp) == 1 and not walls else "reducible"
     reasons = []
     if walls:
-        reasons.append(
-            {
-                "clause": "wall",
-                "directions": [list(rd.rays[r].direction) for r in walls],
-            }
-        )
+        reasons.append({"clause": "wall", "directions": walls})
     if len(comp) > 1:
         reasons.append({"clause": "r-group-nontrivial", "order": len(comp)})
-    if not reasons:
-        reasons.append({"clause": "irreducible"})
-
-    return CriterionReport(
-        mode="decide-ps",
-        family=ctx.rs.cartan.family,
-        rank=ctx.rs.rank,
-        theta=[],
-        relative=_relative_summary(ctx),
-        values=_value_table(ctx, lam),
-        phi0_sigma=[list(rd.rays[r].direction) for r in sorted(phi_lambda0)],
-        stab=_summary(stab),
-        w0=_summary(small),
-        r=_summary(comp),
-        verdict=verdict,
-        reasons=reasons,
-        walls=[list(rd.rays[r].direction) for r in walls],
-        orbit_note=_orbit_note(ctx),
-        _ctx=ctx,
-        _stab_elements=stab,
-        _r_elements=comp,
-        _phi0_sigma_set=phi_lambda0,
-    )
+    return _report(ctx, "decide-ps", values, stab, fixed, small, comp, reasons, walls=walls)
 
 
-def regular_shortcut(report: CriterionReport) -> dict:
+def regular_shortcut(report: CriterionReport, corank: dict) -> dict:
     """For a regular datum (trivial stabilizer) the verdict must equal the
     conjunction of the co-rank-one flags; disagreement is an internal
     inconsistency, not a data error."""
     if report.stab.order != 1:
         return {"applies": False}
-    flags = report._corank_by_ray or {}
-    expected = "irreducible" if all(flags.values()) else "reducible"
+    expected = "irreducible" if all(corank.values()) else "reducible"
     if report.verdict != expected:
         raise InvariantViolation(
             "regular shortcut disagrees with the computed verdict"
@@ -668,26 +584,26 @@ def regular_shortcut(report: CriterionReport) -> dict:
     return {"applies": True, "verdict": expected}
 
 
-def unitary_shortcut(report: CriterionReport, nu: UnramifiedParam) -> dict:
+def unitary_shortcut(report: CriterionReport, ctx: LeviContext, nu: UnramifiedParam,
+                     corank: dict, mu_map: dict) -> dict:
     """For a unitary datum the verdict is equivalent to triviality of the
     classical R-group.  Requires the two oracle flag families to agree on
-    the fixed rays, and co-rank-one irreducibility off them."""
+    the fixed rays (the keys of ``mu_map``), and co-rank-one irreducibility
+    off them."""
     if not nu.is_unitary():
         return {"applies": False}
-    ctx = report._ctx
-    flags = report._corank_by_ray
-    mu_map = report._mu_by_ray
-    for r in sorted(report._phi0_sigma_set):
-        if flags[r] != mu_map[r]:
+    rd = ctx.rd
+    for r in sorted(mu_map):
+        if corank[r] != mu_map[r]:
             raise EngineRejection(
                 "unitary datum: corank_irred and mu_zero disagree on ray "
-                f"{list(ctx.rd.rays[r].direction)}"
+                f"{list(rd.rays[r].direction)}"
             )
-    for r in sorted(ctx.rd.phi0 - report._phi0_sigma_set):
-        if not flags[r]:
+    for r in sorted(rd.phi0):
+        if r not in mu_map and not corank[r]:
             raise EngineRejection(
                 "unitary datum: a co-rank-one induction with unfixed datum "
-                f"cannot be reducible (ray {list(ctx.rd.rays[r].direction)})"
+                f"cannot be reducible (ray {list(rd.rays[r].direction)})"
             )
     r_prime_trivial = report.r_prime.order == 1
     expected = "irreducible" if r_prime_trivial else "reducible"
@@ -838,6 +754,12 @@ def conjecture_predict(
     rd = ctx.rd
     if pairwise is not None:
         blocks = type_a_blocks(ctx)
+        for pair in pairwise:
+            if max(pair) >= len(blocks):
+                raise EngineRejection(
+                    f"pairwise block index {max(pair) + 1} out of range: "
+                    f"the Levi has {len(blocks)} blocks"
+                )
         flags = {}
         for r, ray in enumerate(rd.rays):
             pair = _ray_block_pair(ctx, ray, blocks)
@@ -854,8 +776,7 @@ def conjecture_predict(
         missing = [r for r in range(len(rd.rays)) if r not in corank_all]
         if missing:
             raise EngineRejection(
-                f"co-rank-one flags missing for rays "
-                f"{[list(rd.rays[r].direction) for r in missing]}"
+                f"co-rank-one flags missing for rays {_directions(rd, missing)}"
             )
         flags = {r: bool(corank_all[r]) for r in range(len(rd.rays))}
     predicted = "irreducible" if all(flags.values()) else "reducible"
@@ -880,35 +801,22 @@ def translate_datum(ctx: LeviContext, w1: WeylElement, nu: UnramifiedParam, orac
     agree.  Used both for reporting and for verification sweeps."""
     nu_t = weyl_act(w1, nu)
     perm = ctx.rd.rayperm(w1)
+    w1_inv = ctx.weyl.inv(w1)
 
     def move_flags(flags):
         if flags is None:
             return None
         return {abs(perm[r]) - 1: v for r, v in flags.items()}
 
-    if oracle.kind == "split":
-        return nu_t, SigmaOracle("split", lam=weyl_act(w1, oracle.lam))
-    if oracle.kind == "trivial":
-        support = oracle.support
-        if support is not None:
-            w1_inv = ctx.weyl.inv(w1)
-            support = _sorted_elements(
-                ctx.weyl.mult(ctx.weyl.mult(w1, w), w1_inv) for w in support
-            )
-        return nu_t, SigmaOracle(
-            "trivial",
-            support=support,
-            mu_zero=move_flags(oracle.mu_zero),
-            corank_irred=move_flags(oracle.corank_irred),
+    pairs = oracle.pairs
+    if pairs is not None:
+        pairs = tuple(
+            (ctx.weyl.mult(ctx.weyl.mult(w1, w), w1_inv), weyl_act(w1, chi))
+            for w, chi in pairs
         )
-    w1_inv = ctx.weyl.inv(w1)
-    pairs = tuple(
-        (ctx.weyl.mult(ctx.weyl.mult(w1, w), w1_inv), weyl_act(w1, chi))
-        for w, chi in oracle.pairs
-    )
+    sigma = oracle.sigma
+    if sigma is not None:
+        sigma = weyl_act(w1, sigma)
     return nu_t, SigmaOracle(
-        "explicit",
-        pairs=pairs,
-        mu_zero=move_flags(oracle.mu_zero),
-        corank_irred=move_flags(oracle.corank_irred),
+        pairs, sigma, move_flags(oracle.mu_zero), move_flags(oracle.corank_irred)
     )

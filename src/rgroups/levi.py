@@ -190,12 +190,6 @@ def relative_roots(levi: LeviDatum) -> RelativeData:
     return RelativeData(levi)
 
 
-def delta_M_0(rd: RelativeData) -> tuple:
-    """Base of the reflection-carrying positive rays (computed during the
-    reflection scan; empty when no reflections are realized)."""
-    return rd.delta0
-
-
 def relative_weyl_group(rd: RelativeData, weyl: WeylGroup) -> RelativeWeylGroup:
     """Elements mapping theta onto itself; equivalently the minimal-length
     representatives of N_W(W_theta)/W_theta, which form an honest subgroup."""

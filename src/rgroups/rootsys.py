@@ -345,9 +345,6 @@ class WeylElement:
     def inverse(self) -> "WeylElement":
         return WeylElement(self.rs, _invert_perm(self.perm))
 
-    def act_root(self, idx: int) -> int:
-        return self.perm[idx]
-
     def act(self, v):
         """Linear action on a rational vector in simple-root coordinates."""
         roots = self.rs.roots
@@ -380,10 +377,6 @@ class WeylElement:
 
     def __repr__(self):
         return f"WeylElement(word={list(w + 1 for w in self.word)})"
-
-
-def act(w: WeylElement, v):
-    return w.act(v)
 
 
 class WeylGroup:

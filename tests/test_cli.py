@@ -221,17 +221,6 @@ def test_atlas_a2_torsion_only(tmp_path):
         assert row["r_order"] == r_order
 
 
-def test_atlas_jobs_deterministic(tmp_path):
-    payload = {
-        "family": "A",
-        "rank": 2,
-        "grid": {"q_exps": ["0", "1"], "torsions": ["0", "1/2"]},
-    }
-    _, seq = run_cli(tmp_path, "atlas", payload)
-    _, par = run_cli(tmp_path, "atlas", payload, extra=("--jobs", "4"))
-    assert seq == par
-
-
 def test_csv_rejected_outside_atlas(tmp_path):
     code, _ = run_cli(tmp_path, "decompose", {"family": "A", "rank": 2}, fmt="csv")
     assert code == 2
@@ -289,6 +278,22 @@ def test_product_count_verb(tmp_path):
     code, text = run_cli(tmp_path, "product-count", payload)
     assert code == 0
     assert json.loads(text)["results"]["count"] == 6
+
+
+def test_product_count_malformed_blocks_is_schema_error(tmp_path, capsys):
+    payload = {
+        "family": "A",
+        "rank": 3,
+        "levi": [1],
+        "character": {},
+        "sigma": {"corank_irred": [{"direction": [0, 0, 1], "value": True}]},
+        "blocks": 5,
+        "factor_counts": [1],
+    }
+    code, text = run_cli(tmp_path, "product-count", payload)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "SchemaError"
 
 
 def test_predict_verb_pairwise(tmp_path):
@@ -382,3 +387,36 @@ def test_stdin_input(tmp_path, monkeypatch, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["results"]["wm_order"] == 6
+
+
+def _predict_a5(pairwise):
+    return {
+        "family": "A",
+        "rank": 5,
+        "levi": [1, 3, 5],
+        "character": {},
+        "sigma": {"stab_pairs": [{"word": []}]},
+        "pairwise": pairwise,
+    }
+
+
+def test_predict_block_index_below_one_is_schema_error(tmp_path, capsys):
+    pairwise = [{"blocks": [0, 1], "irreducible": True}]
+    code, _ = run_cli(tmp_path, "predict", _predict_a5(pairwise))
+    assert code == 2  # not silently block -1
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+def test_predict_block_index_past_the_levi_is_named(tmp_path, capsys):
+    pairwise = [{"blocks": [1, 7], "irreducible": True}]
+    code, _ = run_cli(tmp_path, "predict", _predict_a5(pairwise))
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "EngineRejection"
+    assert "index 7 out of range" in err["message"]
+
+
+def test_verify_boolean_max_rank_is_schema_error(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "verify", {"family": "A", "rank": 2, "max_rank": True})
+    assert code == 2  # not max_rank 1
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"

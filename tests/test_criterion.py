@@ -324,3 +324,33 @@ def test_predict_regular_support_matches_decide(context):
         prediction = conjecture_predict(ctx, nu, oracle, corank_all=dict(flags))
         assert prediction.applies
         assert prediction.predicted == report.verdict
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_trivial_twist_oracle_is_explicit_oracle_on_all_of_wm(context, family):
+    # with pairs omitted, every element of W_M carries the trivial twist
+    for mask in range(7):
+        theta = tuple(i for i in range(3) if mask >> i & 1)
+        ctx = context(family, 3, theta)
+        triv = trivial_param(ctx.rs, ctx.theta)
+        flags = {r: True for r in ctx.rd.phi0}
+        implicit = trivial_twist_oracle(ctx, mu_zero=flags, corank_irred=flags)
+        explicit = explicit_oracle(
+            ((w, triv) for w in ctx.wm.reps), mu_zero=flags, corank_irred=flags
+        )
+        assert (
+            decide_gps(ctx, triv, implicit).to_dict()
+            == decide_gps(ctx, triv, explicit).to_dict()
+        ), theta
+
+
+@pytest.mark.parametrize("family", ["B", "G"])
+def test_ps_and_gps_share_the_report_core_on_the_torus(context, family):
+    ctx = context(family, 2, ())
+    coords = list(product(["-1", "0", "1"], ["0", "1/2", "1/3"]))
+    for (q1, t1), (q2, t2) in product(coords, repeat=2):
+        lam = fw(ctx, [q1, q2], [t1, t2])
+        ps = decide_ps_unramified(ctx, lam).to_dict()
+        gps = decide_gps(ctx, lam).to_dict()
+        for key in ("values", "stabilizer", "relative", "orbit_note"):
+            assert ps[key] == gps[key], (key, q1, t1, q2, t2)
