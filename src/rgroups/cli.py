@@ -11,7 +11,8 @@ One JSON problem description in, one report envelope out.  Verbs:
   predict        conjectural verdict from pairwise / co-rank-one flags
 
 Exit codes: 0 ok, 2 schema error, 3 engine rejection, 4 internal invariant
-failure.  All rationals travel as strings, so nothing is ever rounded.
+failure or any other unexpected error; each failure writes one JSON line to
+stderr.  All rationals travel as strings, so nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .criterion import (
     explicit_oracle,
     product_formula_count,
 )
-from .errors import EngineRejection, RGroupsError, SchemaError
+from .errors import EngineRejection, InvariantViolation, RGroupsError, SchemaError
 from .levi import analyze, certify
 from .rootsys import DEFAULT_GROUP_CAP, build_cartan, build_root_system, generate_weyl
 
@@ -363,6 +364,7 @@ def run_atlas(problem: Problem) -> dict:
     budget = problem.raw.get("budget", ATLAS_BUDGET)
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise SchemaError("budget must be a positive integer")
+    build_cartan(problem.family, problem.rank)  # rejects a bad rank before the grid is expanded
     points = _atlas_points(problem.raw["grid"], problem.rank, budget)
     ctx = _build_context(problem)
 
@@ -479,6 +481,8 @@ def render_text(env: dict) -> str:
             lines.append(
                 f"  {v['direction']} -> q^{v['q_exp']} torsion {v['torsion']}"
             )
+        if "count" in results:
+            lines.append(f"constituent count {results['count']}")
     elif "rows" in results:
         for row in results["rows"]:
             lines.append(
@@ -489,8 +493,6 @@ def render_text(env: dict) -> str:
         lines.append(f"certified {results['passes']}/{results['cases']} Levi subsets")
         for fx in results["nontrivial_complements"]:
             lines.append(f"  nontrivial complement at rank {fx['rank']} theta {fx['theta']}: {fx['w1_words']}")
-    elif "count" in results:
-        lines.append(f"constituent count {results['count']}")
     elif "prediction" in results:
         lines.append(json.dumps(results["prediction"], sort_keys=True))
     elif "relative_roots" in results:
@@ -570,20 +572,20 @@ def main(argv=None) -> int:
             payload = render_text(env)
         else:
             payload = render_csv(env)
-    except RGroupsError as exc:
-        diagnostic = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": exc.exit_code,
-        }
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise SchemaError(f"cannot write output: {exc}") from None
+        else:
+            sys.stdout.write(payload)
+    except Exception as exc:
+        # an error outside the hierarchy is an internal failure as well
+        code = exc.exit_code if isinstance(exc, RGroupsError) else InvariantViolation.exit_code
+        diagnostic = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
-        return exc.exit_code
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+        return code
     return 0
 
 

@@ -43,7 +43,7 @@ from .charlat import (
     weyl_act,
 )
 from .errors import EngineRejection, InvariantViolation
-from .levi import LeviContext, split_off_reflections
+from .levi import LeviContext, split_reflections
 from .rootsys import WeylElement
 
 POSITIVITY_NOTE = (
@@ -191,58 +191,10 @@ def _check_orbit_constancy(ctx, stab, flags, label):
                 )
 
 
-def _complement(ctx, group_elems, subset):
-    """Members of ``group_elems`` keeping the positive rays of ``subset``
-    positive (and inside the subset)."""
-    subset = sorted(subset)
-    member = set(subset)
-    out = []
-    for w in group_elems:
-        perm = ctx.rd.rayperm(w)
-        ok = True
-        for r in subset:
-            signed = perm[r]
-            if abs(signed) - 1 not in member:
-                raise InvariantViolation(
-                    "stabilizer fails to preserve its reflection-carrying rays"
-                )
-            if signed < 0:
-                ok = False
-        if ok:
-            out.append(w)
-    return tuple(out)
-
-
-def _verify_splitting(ctx, group_elems, small, comp, subset, label):
-    small_set = frozenset(w.perm for w in small)
-    comp_set = frozenset(w.perm for w in comp)
-    if small_set & comp_set != {ctx.weyl.identity.perm}:
-        raise InvariantViolation(f"{label}: factors intersect nontrivially")
-    if len(group_elems) != len(small) * len(comp):
-        raise InvariantViolation(
-            f"{label}: |G| = {len(group_elems)} != {len(small)} * {len(comp)}"
-        )
-    subset = sorted(subset)
-    reflections = {r: ctx.rd.reflection_of[r] for r in subset}
-    simples = ctx.rd.simple_rays(subset) if subset else ()
-    for w in group_elems:
-        w0, w1 = split_off_reflections(ctx.rd, ctx.weyl, w, subset, reflections, simples)
-        if w0.perm not in small_set or w1.perm not in comp_set:
-            raise InvariantViolation(f"{label}: factorization escaped the factors")
-
-
 def r_group(ctx: LeviContext, stab, phi0):
     """Reflection subgroup of the stabilizer and its positivity-preserving
-    complement, with the factorization verified outright."""
-    refl = [ctx.rd.reflection_of[r] for r in sorted(phi0)]
-    small = ctx.weyl.closure(refl) if refl else (ctx.weyl.identity,)
-    stab_set = {w.perm for w in stab}
-    for w in small:
-        if w.perm not in stab_set:
-            raise InvariantViolation("reflection subgroup escaped the stabilizer")
-    comp = _complement(ctx, stab, phi0)
-    _verify_splitting(ctx, stab, small, comp, phi0, "stabilizer splitting")
-    return small, comp
+    complement, with the splitting verified outright."""
+    return split_reflections(ctx.rd, ctx.weyl, stab, phi0, "stabilizer splitting")
 
 
 def delta_1(ctx: LeviContext, nu: UnramifiedParam):
@@ -253,10 +205,8 @@ def delta_1(ctx: LeviContext, nu: UnramifiedParam):
         for r in ctx.rd.phi0
         if eval_on_coroot(ctx.rd, nu, ctx.rd.rays[r]).is_trivial()
     )
-    refl = [ctx.rd.reflection_of[r] for r in sorted(rays)]
-    group = ctx.weyl.closure(refl) if refl else (ctx.weyl.identity,)
-    base = ctx.rd.simple_rays(rays) if rays else ()
-    return rays, group, base
+    group = ctx.weyl.closure([ctx.rd.reflection_of[r] for r in sorted(rays)])
+    return rays, group, ctx.rd.simple_rays(rays)
 
 
 def knapp_stein_ladder(ctx: LeviContext, stab, phi0, mu_map, small, comp):
@@ -266,11 +216,8 @@ def knapp_stein_ladder(ctx: LeviContext, stab, phi0, mu_map, small, comp):
     vanishing rank-one Plancherel measure, R' is its positivity-preserving
     complement in the stabilizer, and R0 = W0 ∩ R' realizes W0/W0'.
     """
-    mu_true = sorted(r for r in phi0 if mu_map[r])
-    refl = [ctx.rd.reflection_of[r] for r in mu_true]
-    w0_prime = ctx.weyl.closure(refl) if refl else (ctx.weyl.identity,)
-    r_prime = _complement(ctx, stab, mu_true)
-    _verify_splitting(ctx, stab, w0_prime, r_prime, mu_true, "Knapp-Stein splitting")
+    mu_true = [r for r in phi0 if mu_map[r]]
+    w0_prime, r_prime = split_reflections(ctx.rd, ctx.weyl, stab, mu_true, "Knapp-Stein splitting")
     small_set = {w.perm for w in small}
     r_prime_set = {w.perm for w in r_prime}
     r0 = tuple(w for w in r_prime if w.perm in small_set)

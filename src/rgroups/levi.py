@@ -20,7 +20,8 @@ theta, and relative positivity is just sign-coherence of those coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rat import primitive, solve
@@ -243,7 +244,7 @@ def reflections_in_WM(rd: RelativeData, wm: RelativeWeylGroup) -> dict:
             found[ray] = w
     rd.phi0 = frozenset(found)
     rd.reflection_of = dict(found)
-    rd.delta0 = rd.simple_rays(rd.phi0) if found else ()
+    rd.delta0 = rd.simple_rays(rd.phi0)
     return found
 
 
@@ -270,85 +271,51 @@ class WMDecomposition:
     generated by realized relative reflections, and the complement of
     elements keeping the reflection-carrying positive rays positive."""
 
-    rd: RelativeData
-    weyl: WeylGroup
     small: tuple
     complement: tuple
-    small_set: frozenset = field(repr=False)
-    complement_set: frozenset = field(repr=False)
-
-    def factor(self, w: WeylElement):
-        """Unique factorization w = w0 * w1 with w0 in the reflection
-        subgroup and w1 in the complement."""
-        w0, w1 = split_off_reflections(
-            self.rd, self.weyl, w, sorted(self.rd.phi0), self.rd.reflection_of,
-            self.rd.delta0,
-        )
-        if w0.perm not in self.small_set or w1.perm not in self.complement_set:
-            raise InvariantViolation(
-                f"factorization of {list(w.word)} left the expected subgroups"
-            )
-        return w0, w1
 
 
-def split_off_reflections(rd, weyl, w, subset, reflections, simples):
-    """Factor w = w0 * w1 where w0 lies in the reflection group of
-    ``subset`` and w1 maps the positive rays of ``subset`` to positive rays.
-    ``simples`` is the base of ``subset``, ``rd.simple_rays(subset)``.
+def split_reflections(rd: RelativeData, weyl: WeylGroup, group, rays, label: str):
+    """Split ``group`` as W(rays) x| comp, where comp keeps every ray of
+    ``rays`` positive.  ``group`` must permute ``rays`` and contain their
+    reflections, so ``rays`` is reflection-closed, a root subsystem, and its
+    base ``rd.simple_rays(rays)`` generates W(rays).
 
-    Walks the positive system back to the fundamental one by stripping one
-    simple reflection of the subset per step; termination within
-    len(subset) steps is a structural fact, so overrunning it is a hard
-    error rather than a loop.
+    Checked outright: ``group`` permutes ``rays``, small <= group,
+    small & comp = {1} and |group| = |small|*|comp|.  Under these,
+    (a, b) -> ab is injective from small x comp to group (ab = a'b' forces
+    a'^-1 a = b' b^-1 in small & comp) and, by counting, onto: every element
+    factors uniquely.
     """
-    if not subset:
-        return weyl.identity, w
-    x = weyl.inv(w)
-    prefix = weyl.identity
-    for _ in range(len(subset) + 1):
-        perm = rd.rayperm(x)
-        descent = next((s for s in simples if perm[s] < 0), None)
-        if descent is None:
-            break
-        refl = reflections[descent]
-        x = weyl.mult(x, refl)
-        prefix = weyl.mult(prefix, refl)
-    else:
-        raise InvariantViolation("positive-system walk failed to terminate")
-    w1 = weyl.inv(x)
-    perm = rd.rayperm(w1)
-    if any(perm[s] < 0 or perm[s] - 1 not in subset for s in subset):
-        raise InvariantViolation("complement factor does not preserve positivity")
-    if weyl.mult(prefix, w1) != w:
-        raise InvariantViolation("factorization product mismatch")
-    return prefix, w1
+    positive = frozenset(r + 1 for r in rays)
+    signed = positive | frozenset(-r for r in positive)
+    comp = []
+    for w in group:
+        image = rd.rayperm(w).__getitem__
+        if positive.issuperset(map(image, rays)):
+            comp.append(w)
+        elif not signed.issuperset(map(image, rays)):
+            raise InvariantViolation(
+                f"{label}: {list(w.word)} does not permute the reflection-carrying rays"
+            )
+    comp = tuple(comp)
+    small = weyl.closure([rd.reflection_of[r] for r in rd.simple_rays(rays)])
+    small_set = frozenset(w.perm for w in small)
+    if not small_set <= frozenset(w.perm for w in group):
+        raise InvariantViolation(f"{label}: reflection subgroup escaped the group")
+    if small_set.intersection(w.perm for w in comp) != {weyl.identity.perm}:
+        raise InvariantViolation(f"{label}: factors intersect nontrivially")
+    if len(group) != len(small) * len(comp):
+        raise InvariantViolation(
+            f"{label}: |G| = {len(group)} != {len(small)} * {len(comp)}"
+        )
+    return small, comp
 
 
 def decompose_WM(rd: RelativeData, wm: RelativeWeylGroup, weyl: WeylGroup) -> WMDecomposition:
-    """W0 is generated by the reflections of the base delta0 (phi0 is a
-    root system); the order product below guards that."""
-    phi0 = sorted(rd.phi0)
-    reflections = [rd.reflection_of[r] for r in rd.delta0]
-    small = weyl.closure(reflections) if reflections else (weyl.identity,)
-    complement = []
-    for w in wm.reps:
-        perm = rd.rayperm(w)
-        if all(perm[r] > 0 for r in phi0):
-            complement.append(w)
-    complement = tuple(complement)
-    if len(wm.reps) != len(small) * len(complement):
-        raise InvariantViolation(
-            f"|W_M| = {len(wm.reps)} but |W0|*|W1| = {len(small)}*{len(complement)}"
-        )
-    dec = WMDecomposition(
-        rd=rd,
-        weyl=weyl,
-        small=small,
-        complement=complement,
-        small_set=frozenset(x.perm for x in small),
-        complement_set=frozenset(x.perm for x in complement),
-    )
-    return dec
+    """W_M = W0 x| W1 over the reflection-carrying rays phi0."""
+    small, complement = split_reflections(rd, weyl, wm.reps, rd.phi0, "W_M = W0 x W1")
+    return WMDecomposition(small=small, complement=complement)
 
 
 # -- one-stop analysis and certification -----------------------------------
@@ -402,10 +369,9 @@ def certify(rs: RootSystem, weyl: WeylGroup, theta) -> CertResult:
       * conjugation identity w w_r w^{-1} = w_{w.r} for all w and all
         reflection-carrying rays (this subsumes both the stability of the
         reflection set and normality of the reflection subgroup),
-      * trivial intersection and order product for the splitting,
-      * existence of the factorization for every element (with the order
-        product this pins uniqueness); on small groups uniqueness is also
-        recounted directly from all pairs,
+      * unique factorization, counted directly: every element of W_M is a
+        product a*b with a in W0 and b in W1 exactly once (this implies the
+        trivial intersection and the order product),
       * the base of the reflection-carrying rays is indecomposable,
       * the longest-element construction agrees with the group scan on
         relative simple rays.
@@ -449,27 +415,9 @@ def certify(rs: RootSystem, weyl: WeylGroup, theta) -> CertResult:
             continue
         break
 
-    if frozenset(x.perm for x in dec.small) & frozenset(
-        x.perm for x in dec.complement
-    ) != {identity.perm}:
-        failures.append("reflection part and complement intersect nontrivially")
-    if len(wm.reps) != len(dec.small) * len(dec.complement):
-        failures.append("order product |W_M| = |W0|*|W1| fails")
-
-    try:
-        for w in wm.reps:
-            dec.factor(w)
-    except InvariantViolation as exc:
-        failures.append(f"factorization existence fails: {exc}")
-
-    if len(wm.reps) <= 200:
-        products = {}
-        for a in dec.small:
-            for b in dec.complement:
-                key = weyl.mult(a, b).perm
-                products[key] = products.get(key, 0) + 1
-        if sorted(products.values()) != [1] * len(wm.reps) or set(products) != rep_perms:
-            failures.append("direct pair count contradicts unique factorization")
+    products = Counter(_compose(a.perm, b.perm) for a in dec.small for b in dec.complement)
+    if products.keys() != rep_perms or set(products.values()) != {1}:
+        failures.append("direct pair count contradicts unique factorization")
 
     for delta in rd.delta0:
         if _two_term_decomposable(rd, delta, phi0):

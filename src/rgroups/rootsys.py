@@ -26,7 +26,7 @@ from .errors import CapExceeded, EngineRejection, InvariantViolation
 DEFAULT_GROUP_CAP = 10**6
 DEFAULT_ROOT_CAP = 10**4
 
-_FAMILIES = "ABCDEFG"
+_FAMILIES = tuple("ABCDEFG")  # a string would also admit "" and "AB"
 
 
 class CartanDatum:
@@ -432,9 +432,8 @@ class WeylGroup:
                         seen.add(q)
                         fresh.append(q)
             frontier = fresh
-        members = [self.by_perm(p) for p in seen]
-        members.sort(key=lambda w: (w.length(), w.word))
-        return tuple(members)
+        # the elements are already enumerated in (length, word) order
+        return tuple(self.elements[i] for i in sorted(map(self.index.__getitem__, seen)))
 
 
 def generate_weyl(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:

@@ -1,8 +1,15 @@
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rgroups.cli import main
+from rgroups import cli
+from rgroups.cli import MODE_KEYS, MODES, main
 
 
 def run_cli(tmp_path, verb, payload, fmt="json", extra=()):
@@ -179,6 +186,14 @@ def test_atlas_string_grid_is_schema_error(tmp_path, capsys, key):
     code, text = run_cli(tmp_path, "atlas", {"family": "A", "rank": 1, "grid": grid})
     assert code == 2 and text == ""
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+def test_atlas_negative_rank_is_engine_rejection(tmp_path, capsys):
+    payload = {"family": "A", "rank": -1, "grid": {"q_exps": [], "torsions": []}}
+    code, _ = run_cli(tmp_path, "atlas", payload)
+    assert code == 3  # not a ValueError from expanding the grid
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "EngineRejection"
 
 
 def test_atlas_csv_format(tmp_path):
@@ -420,3 +435,191 @@ def test_verify_boolean_max_rank_is_schema_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "verify", {"family": "A", "rank": 2, "max_rank": True})
     assert code == 2  # not max_rank 1
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+# -- the exit-code contract ---------------------------------------------------
+
+
+def test_unwritable_output_is_schema_error(tmp_path, capsys):
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps({"family": "A", "rank": 2}))
+    target = tmp_path / "missing" / "out.json"
+    code = main(["decompose", "--input", str(infile), "--output", str(target)])
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    diagnostic = json.loads(err[0])
+    assert diagnostic["error"] == "SchemaError"
+    assert diagnostic["message"].startswith("cannot write output: ")
+
+
+def test_unexpected_exception_is_exit_four(tmp_path, capsys, monkeypatch):
+    def broken(problem):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli.RUNNERS, "decompose", broken)
+    code, text = run_cli(tmp_path, "decompose", {"family": "A", "rank": 2})
+    assert code == 4 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "KeyError", "exit_code": 4, "message": "'boom'"}
+
+
+BLOCK_SWAP_SIGMA = {
+    "stab_pairs": [{"word": []}, {"word": [2, 1, 3, 2]}],
+    "mu_zero": [{"direction": [1, 2, 1], "value": True}],
+    "corank_irred": [{"direction": [1, 2, 1], "value": True}],
+}
+
+TEXT_CASES = {
+    "decompose": ({"family": "A", "rank": 3, "levi": [1, 3]}, '  "wm_order": 2'),
+    "decide-ps": (
+        {"family": "B", "rank": 3,
+         "character": {"basis": "fundamental-weight", "t_part": ["0", "0", "1/2"]}},
+        "stabilizer order 12, W0 6, R 2",
+    ),
+    "decide-gps": (
+        {"family": "A", "rank": 3, "levi": [1, 3], "character": {}, "sigma": BLOCK_SWAP_SIGMA},
+        "Knapp-Stein ladder: W0' 2, R' 1, R0 1",
+    ),
+    "verify": ({"family": "B", "rank": 3}, "certified 8/8 Levi subsets"),
+    "atlas": (
+        {"family": "A", "rank": 1, "grid": {"q_exps": ["0", "1"], "torsions": ["0", "1/2"]}},
+        "4 grid points",
+    ),
+    "product-count": (
+        {"family": "A", "rank": 3, "levi": [1], "character": {},
+         "sigma": {"corank_irred": [{"direction": [0, 0, 1], "value": True}]},
+         "blocks": [[1], [3]], "factor_counts": [1, 2]},
+        "constituent count 2",
+    ),
+    "predict": (
+        {"family": "A", "rank": 3, "levi": [1, 3], "character": {}, "sigma": BLOCK_SWAP_SIGMA},
+        '"predicted_verdict": "irreducible"',
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", MODES)
+def test_text_format_every_verb(tmp_path, verb):
+    payload, expected = TEXT_CASES[verb]
+    code, text = run_cli(tmp_path, verb, payload, fmt="text")
+    assert code == 0
+    assert text.startswith("rgroups ")
+    assert expected in text
+
+
+# -- fuzzed problem shapes ------------------------------------------------------
+
+
+def _ints(low, high):
+    # Sampled rather than st.integers: Hypothesis mixes constants found in the
+    # loaded modules into integer draws, so derandomized examples would then
+    # depend on the hash seed.
+    return st.sampled_from(range(low, high + 1))
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), _ints(-2, 3), st.just(0.5),
+    st.sampled_from(["", "x", "1/2", "1/0"]), st.just([]), st.just({}),
+)
+
+
+def _weighted(*weighted):
+    """One of the strategies, drawn with the given integer weights."""
+    pool = [strategy for strategy, weight in weighted for _ in range(weight)]
+    return st.sampled_from(pool).flatmap(lambda strategy: strategy)
+
+
+def _mostly(valid):
+    """``valid`` four times in five, junk otherwise."""
+    return _weighted((valid, 4), (_junk, 1))
+
+
+_exact = st.one_of(st.sampled_from(["0", "1", "-1", "1/2", "1/3"]), _ints(-2, 2))
+_rational = _weighted((_exact, 4), (st.sampled_from(["x", "1/0", 0.5]), 1))
+
+
+def _values(rank):
+    """Value strategies per problem key, mostly well formed for ``rank``."""
+    index = _mostly(_ints(1, rank))
+    vector = st.one_of(_mostly(st.lists(_rational, min_size=rank, max_size=rank)),
+                       st.lists(_rational, max_size=4))
+    character = _mostly(st.fixed_dictionaries({}, optional={
+        "basis": st.sampled_from(["simple-root", "fundamental-weight", "fundamental-weight", "other"]),
+        "q_part": vector, "t_part": vector,
+    }))
+    flags = _mostly(st.lists(st.fixed_dictionaries({
+        "direction": _mostly(st.lists(_ints(0, 2), min_size=rank, max_size=rank)),
+        "value": _mostly(st.booleans()),
+    }), max_size=3))
+    return {
+        "levi": _mostly(st.lists(_ints(1, rank), unique=True, max_size=rank)),
+        "cap": _mostly(st.sampled_from([2, 50, 10**6])),
+        "character": character,
+        "sigma": _mostly(st.fixed_dictionaries({}, optional={
+            "stab_pairs": _mostly(st.lists(st.fixed_dictionaries(
+                {"word": _mostly(st.lists(index, max_size=4))}, optional={"twist": character},
+            ), max_size=3)),
+            "mu_zero": flags,
+            "corank_irred": flags,
+        })),
+        "grid": _mostly(st.fixed_dictionaries({
+            "q_exps": _mostly(st.lists(_rational, max_size=2)),
+            "torsions": _mostly(st.lists(_rational, max_size=2)),
+        })),
+        "budget": _mostly(_ints(0, 20)),
+        "max_rank": _mostly(_ints(-1, 3)),
+        "blocks": _mostly(st.lists(_mostly(st.lists(index, max_size=2)), max_size=3)),
+        "factor_counts": _mostly(st.lists(_ints(0, 3), max_size=3)),
+        "pairwise": _mostly(st.lists(st.fixed_dictionaries({
+            "blocks": _mostly(st.lists(_ints(0, 4), max_size=3)),
+            "irreducible": _mostly(st.booleans()),
+        }), max_size=3)),
+        "mode": st.sampled_from(MODES),
+        "unknown": _junk,
+    }
+
+
+def _problems(verb):
+    """Problems for ``verb`` on A1-A3, B2 and G2: mostly the keys the verb
+    takes with well-formed values, sometimes a foreign key, a bad family or
+    rank, or no object at all."""
+
+    def shape(system):
+        family, rank = system
+        values = _values(rank)
+        keys = {"levi", "cap"} | MODE_KEYS[verb]  # drawn in sorted order, not set order
+        well_formed = st.fixed_dictionaries(
+            {"family": st.just(family), "rank": st.just(rank)},
+            optional={key: values[key] for key in sorted(keys)},
+        )
+        foreign = st.fixed_dictionaries(
+            {"family": st.sampled_from([family, "", "AB", "b", 3, None]),
+             "rank": st.sampled_from([rank, "2", True, None, 0, -1, 9])},
+            optional={key: values[key] for key in sorted(keys | {"mode", "unknown"})},
+        )
+        return _weighted((well_formed, 3), (foreign, 1))
+
+    systems = st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+    return _weighted((systems.flatmap(shape), 9), (_junk, 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(MODES).flatmap(lambda verb: st.tuples(st.just(verb), _problems(verb))),
+       st.sampled_from(["json", "json", "text", "csv"]))
+def test_fuzzed_problems_keep_the_exit_contract(case, fmt):
+    verb, problem = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(problem))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main([verb, "--input", "-", "--format", fmt])
+    seen = (verb, fmt, problem, code, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), seen
+    assert "Traceback" not in err.getvalue(), seen
+    if code:
+        assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == code, seen
+    else:
+        assert lines == [] and out.getvalue(), seen

@@ -4,6 +4,7 @@ import pytest
 
 from rgroups import (
     EngineRejection,
+    InvariantViolation,
     decide_gps,
     decide_ps_unramified,
     delta_1,
@@ -19,7 +20,9 @@ from rgroups import (
     trivial_twist_oracle,
     conjecture_predict,
 )
+from rgroups.charlat import eval_on_coroot, stabilizer
 from rgroups.criterion import unramified_oracle
+from rgroups.levi import split_reflections
 
 
 def fw(ctx, q, t):
@@ -354,3 +357,49 @@ def test_ps_and_gps_share_the_report_core_on_the_torus(context, family):
         gps = decide_gps(ctx, lam).to_dict()
         for key in ("values", "stabilizer", "relative", "orbit_note"):
             assert ps[key] == gps[key], (key, q1, t1, q2, t2)
+
+
+# -- the checks of split_reflections, each made to fire ------------------------
+
+
+def _quadratic_b2(context):
+    """B2 at a quadratic character: stabilizer of order 4, reflection part
+    and R-group of order 2 each."""
+    ctx = context("B", 2, ())
+    lam = fw(ctx, [0, 0], [0, "1/2"])
+    fixed = frozenset(
+        r for r in ctx.rd.phi0 if eval_on_coroot(ctx.rd, lam, ctx.rd.rays[r]).is_trivial()
+    )
+    stab = stabilizer(lam, ctx.weyl.elements)
+    small, comp = r_group(ctx, stab, fixed)
+    assert (len(stab), len(small), len(comp)) == (4, 2, 2)
+    return ctx, stab, fixed, small, comp
+
+
+def test_split_reflections_rejects_a_group_moving_its_rays(context):
+    ctx = context("A", 2, ())
+    with pytest.raises(InvariantViolation, match="does not permute the reflection-carrying rays"):
+        split_reflections(ctx.rd, ctx.weyl, ctx.wm.reps, {0}, "test")
+
+
+def test_split_reflections_rejects_an_escaping_reflection_subgroup(context):
+    ctx = context("A", 2, ())
+    with pytest.raises(InvariantViolation, match="reflection subgroup escaped the group"):
+        r_group(ctx, (ctx.weyl.identity,), {0})
+
+
+def test_split_reflections_rejects_intersecting_factors(context, monkeypatch):
+    ctx, stab, fixed, _, _ = _quadratic_b2(context)
+    monkeypatch.setattr(ctx.weyl, "closure", lambda gens: stab)
+    with pytest.raises(InvariantViolation, match="factors intersect nontrivially"):
+        r_group(ctx, stab, fixed)
+
+
+def test_split_reflections_checks_the_order_product(context):
+    ctx, stab, fixed, small, comp = _quadratic_b2(context)
+    factors = {w.perm for w in small + comp}
+    dropped = tuple(w for w in stab if w.perm in factors)
+    assert len(dropped) == 3
+    with pytest.raises(InvariantViolation, match=r"stabilizer splitting: \|G\| = 3 != 2 \* 2"):
+        r_group(ctx, dropped, fixed)
+

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from rgroups import (
@@ -5,10 +7,16 @@ from rgroups import (
     InvariantViolation,
     analyze,
     certify,
+    decide_gps,
+    decide_ps_unramified,
     longest_element,
+    param_from_coords,
 )
+from rgroups import criterion
 from rgroups._rat import primitive
-from rgroups.levi import decompose_WM, relative_reflection_simple
+from rgroups.levi import decompose_WM, relative_reflection_simple, split_reflections
+
+from test_acceptance import GRID_Q, GRID_T, GRID_TYPES
 
 
 def test_relative_roots_counts(context):
@@ -104,9 +112,8 @@ def test_decompose_examples(context):
 
 def test_factorization_roundtrip(context):
     ctx = context("B", 3, (1,))
-    for w in ctx.wm.reps:
-        w0, w1 = ctx.dec.factor(w)
-        assert ctx.weyl.mult(w0, w1) == w
+    products = [ctx.weyl.mult(w0, w1) for w0 in ctx.dec.small for w1 in ctx.dec.complement]
+    assert sorted(w.perm for w in products) == sorted(w.perm for w in ctx.wm.reps)
 
 
 def test_delta0(context):
@@ -188,15 +195,44 @@ def test_rayperm_table_matches_primitive(context, family, rank):
             assert ctx.rd.rayperm(w) == primitive_rayperm(ctx.rd, w), (theta, w.word)
 
 
-@pytest.mark.parametrize("family,rank", LEVI_SYSTEMS)
-def test_w0_from_base_equals_closure_over_phi0(context, family, rank):
+def _splitting_points(ctx):
+    """The acceptance grid on rank two; the trivial and a quadratic
+    character above."""
+    n = ctx.rs.rank
+    if n == 2:
+        pairs = [(q, t) for q in GRID_Q for t in GRID_T]
+        coords = [([a[0], b[0]], [a[1], b[1]]) for a, b in product(pairs, repeat=2)]
+    else:
+        coords = [(["0"] * n, ["0"] * n), (["0"] * n, ["1/2"] + ["0"] * (n - 1))]
+    return [param_from_coords(ctx.rs, (), q, t, basis="fundamental-weight") for q, t in coords]
+
+
+@pytest.mark.parametrize("family,rank", GRID_TYPES + LEVI_SYSTEMS)
+def test_w0_from_base_equals_closure_over_phi0(context, monkeypatch, family, rank):
+    """Closing over the base of a ray set gives the group generated by all
+    of its reflections: for W0 on every Levi, and for the stabilizer
+    splitting and the Knapp-Stein ladder at the points above."""
     for mask in range(2**rank):
         theta = tuple(i for i in range(rank) if mask >> i & 1)
         ctx = context(family, rank, theta)
-        reflections = [ctx.rd.reflection_of[r] for r in sorted(ctx.rd.phi0)]
-        full = ctx.weyl.closure(reflections) if reflections else (ctx.weyl.identity,)
+        full = ctx.weyl.closure([ctx.rd.reflection_of[r] for r in sorted(ctx.rd.phi0)])
         assert len(ctx.dec.small) == len(full), theta
         assert ctx.dec.small == full, theta
+
+    labels = set()
+
+    def checked(rd, weyl, group, rays, label):
+        small, comp = split_reflections(rd, weyl, group, rays, label)
+        assert small == weyl.closure([rd.reflection_of[r] for r in sorted(rays)]), label
+        labels.add(label)
+        return small, comp
+
+    monkeypatch.setattr(criterion, "split_reflections", checked)
+    ctx = context(family, rank, ())
+    for lam in _splitting_points(ctx):
+        decide_ps_unramified(ctx, lam)
+        decide_gps(ctx, lam)
+    assert labels == {"stabilizer splitting", "Knapp-Stein splitting"}
 
 
 def test_rayperm_rejects_element_sending_a_ray_into_the_levi(context):
@@ -212,7 +248,8 @@ def test_decompose_order_product_guard_fires(system, monkeypatch):
     rs, weyl = system("B", 3)
     ctx = analyze(rs, weyl, ())
     assert len(ctx.rd.delta0) == 3
-    monkeypatch.setattr(ctx.rd, "delta0", ctx.rd.delta0[:1])
+    base = ctx.rd.simple_rays(ctx.rd.phi0)
+    monkeypatch.setattr(ctx.rd, "simple_rays", lambda rays: base[:1])
     with pytest.raises(InvariantViolation, match="W0"):
         decompose_WM(ctx.rd, ctx.wm, weyl)
 
@@ -226,6 +263,5 @@ def test_relative_data_not_mutated_after_analysis(system):
             ctx.rd.rayperm(w)
         except InvariantViolation:
             pass
-    for w in ctx.wm.reps:
-        ctx.dec.factor(w)
+    decompose_WM(ctx.rd, ctx.wm, weyl)  # splitting again reads the rays only
     assert vars(ctx.rd) == before

@@ -58,6 +58,12 @@ def test_cartan_rank_below_minimum():
         build_cartan("Z", 2)
 
 
+@pytest.mark.parametrize("family", ["", "AB", "b"])
+def test_cartan_rejects_a_family_that_is_not_one_letter(family):
+    with pytest.raises(EngineRejection, match="unknown family"):
+        build_cartan(family, 2)
+
+
 @pytest.mark.parametrize(
     "family,rank,expected",
     [("A", 2, 3), ("G", 2, 6), ("B", 3, 9)],
