@@ -27,7 +27,6 @@ from .criterion import (
     product_formula_count,
     r_group,
     regular_shortcut,
-    stabilizer_sigma_nu,
     translate_datum,
     trivial_twist_oracle,
     unitary_shortcut,

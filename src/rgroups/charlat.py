@@ -144,6 +144,49 @@ def weyl_act(w: WeylElement, nu: UnramifiedParam) -> UnramifiedParam:
     return UnramifiedParam(nu.rs, nu.theta, w.act(nu.q_part), w.act(nu.t_part))
 
 
+# -- value tables ------------------------------------------------------------
+#
+# A value table holds a character by its pairings with the simple coroots,
+# one entry (<q, alpha_i^vee> exact, <t, alpha_i^vee> mod 1) per simple
+# root i.  Two tables are equal exactly when the characters satisfy
+# same_character: the Cartan matrix is invertible, so equal q-pairings mean
+# equal q-parts.  Tables hash, so a set of characters is a set of tables.
+
+
+def _combo(coeffs, values):
+    """Integer combination of exact values, skipping zero terms: tables of
+    trivial twists then cost no Fraction arithmetic at all."""
+    return sum(c * x for c, x in zip(coeffs, values) if c and x)
+
+
+def value_table(a: UnramifiedParam) -> tuple:
+    """The table of a character; <alpha_j, alpha_i^vee> is the Cartan entry
+    A[i][j], so every pairing is an integer row times the coordinates."""
+    return tuple(
+        (_combo(row, a.q_part), _mod1(_combo(row, a.t_part)))
+        for row in a.rs.cartan.matrix
+    )
+
+
+def table_act(rs: RootSystem, w_inv_perm, table) -> tuple:
+    """The table of w.a from the table of a, given the permutation of w^-1:
+    <w.a, alpha_i^vee> = <a, (w^-1 alpha_i)^vee>, and that coroot is the
+    integer combination ``rs.coroot_coords[w_inv_perm[i]]`` of the simple
+    coroots."""
+    qs = [q for q, _ in table]
+    ts = [t for _, t in table]
+    out = []
+    for i in range(rs.rank):
+        coeffs = rs.coroot_coords[w_inv_perm[i]]
+        out.append((_combo(coeffs, qs), _mod1(_combo(coeffs, ts))))
+    return tuple(out)
+
+
+def table_sum(a, b) -> tuple:
+    """The table of the sum of two characters."""
+    return tuple((qa + qb, _mod1(ta + tb)) for (qa, ta), (qb, tb) in zip(a, b))
+
+
 def eval_on_coroot(rd: RelativeData, nu: UnramifiedParam, ray: RelativeRoot) -> ValueExp:
     """Character value on the intrinsic coroot of a reduced relative root."""
     if nu.theta != rd.theta:

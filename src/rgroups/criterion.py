@@ -39,7 +39,10 @@ from .charlat import (
     param_add,
     same_character,
     stabilizer as char_stabilizer,
+    table_act,
+    table_sum,
     trivial_param,
+    value_table,
     weyl_act,
 )
 from .errors import EngineRejection, InvariantViolation
@@ -85,11 +88,18 @@ class SigmaOracle:
         if self.pairs is None:
             lam = nu if self.sigma is None else param_add(nu, self.sigma)
             return char_stabilizer(lam, ctx.wm.reps)
-        return _sorted_elements(
-            w
-            for w, chi in self.pairs
-            if same_character(param_add(chi, weyl_act(w, nu)), nu)
-        )
+        for w, _ in self.pairs:
+            if not all(w.perm[i] in nu.theta for i in nu.theta):
+                raise EngineRejection(
+                    f"element {list(w.word)} does not normalize the Levi subset"
+                )
+        nu_table = value_table(nu)
+
+        def fixes(w, chi):  # chi + w.nu == nu
+            moved = table_act(ctx.rs, ctx.weyl.inv(w).perm, nu_table)
+            return table_sum(value_table(chi), moved) == nu_table
+
+        return _sorted_elements(w for w, chi in self.pairs if fixes(w, chi))
 
     def sigma_stabilizer(self, ctx: LeviContext) -> tuple:
         """Elements fixing sigma itself (trivial twist)."""
@@ -97,7 +107,8 @@ class SigmaOracle:
 
     def all_twists_trivial(self, ctx: LeviContext) -> bool:
         if self.pairs is not None:
-            return all(is_trivial_character(chi) for _, chi in self.pairs)
+            trivial = value_table(trivial_param(ctx.rs, ctx.theta))
+            return all(value_table(chi) == trivial for _, chi in self.pairs)
         sigma = self.sigma
         return sigma is None or all(
             same_character(weyl_act(w, sigma), sigma) for w in ctx.wm.reps
@@ -106,48 +117,75 @@ class SigmaOracle:
     # -- validation ----------------------------------------------------------
 
     def validate_pairs(self, ctx: LeviContext) -> None:
-        """Twisted-subgroup closure of explicit stabilizer pairs."""
+        """Twisted-subgroup laws of explicit stabilizer pairs, checked in
+        this order: every w lies in W_M; (identity, trivial) is a pair;
+        every pair (w, chi) has its inverse (w^-1, -w^-1.chi); the pairs
+        are closed under (w1, chi1)(w2, chi2) = (w1 w2, chi1 + w1.chi2).
+        A rejection names the first law that fails and one witness.
+
+        Each pair is keyed by w's permutation and chi's value table, so
+        every membership test is a hash lookup.  Closure is tested on
+        generators: a walk from (1, 0) multiplies each reached pair on the
+        right by each generator, a pair not reached yet becomes the next
+        generator, and a product outside the set S of pairs is rejected.
+
+        Why that suffices.  Once the walk ends, 1 is in S and S.g lies in S
+        for every generator g.  Right multiplication by g is injective, so
+        it is a bijection of the finite set S; hence S.<G> = S, and
+        <G> = 1.<G> lies in S.  Every pair was reached from 1 by
+        generators, so S lies in <G>.  So S = <G> is a group.
+
+        Why it is cheaper.  The pairs reached by the first k generators
+        form the group they generate, and the next generator lies outside
+        it, so the group at least doubles each time: |G| <= log2 |S|, and
+        the walk forms |S|.|G| products instead of |S|^2.
+        """
         if self.pairs is None:
             return
+        rs, weyl = ctx.rs, ctx.weyl
         rep_set = {w.perm for w in ctx.wm.reps}
         for w, _ in self.pairs:
             if w.perm not in rep_set:
                 raise EngineRejection(
                     f"stabilizer pair element {list(w.word)} is not in the relative Weyl group"
                 )
-        if not any(
-            w.is_identity() and is_trivial_character(chi) for w, chi in self.pairs
-        ):
+        elements = {}  # (perm, value table) -> the pair's element
+        for w, chi in self.pairs:
+            elements.setdefault((w.perm, value_table(chi)), w)
+        one = (weyl.identity.perm, value_table(trivial_param(rs, ctx.theta)))
+        if one not in elements:
             raise EngineRejection("stabilizer pairs must contain (identity, trivial)")
-        entries = [(w, chi) for w, chi in self.pairs]
-
-        def has(target, twist):
-            return any(
-                w.perm == target.perm and same_character(chi, twist)
-                for w, chi in entries
-            )
-
-        for w1, chi1 in entries:
-            inv = ctx.weyl.inv(w1)
-            inv_twist = weyl_act(inv, chi1)
-            inv_twist = UnramifiedParam(
-                chi1.rs,
-                chi1.theta,
-                tuple(-x for x in inv_twist.q_part),
-                tuple(-x for x in inv_twist.t_part),
-            )
-            if not has(inv, inv_twist):
+        for (perm, table), w in elements.items():
+            twist = table_act(rs, perm, table)  # w^-1.chi
+            if (weyl.inv(w).perm, tuple((-q, -t % 1) for q, t in twist)) not in elements:
                 raise EngineRejection(
-                    f"stabilizer pairs are not inverse-closed at {list(w1.word)}"
+                    f"stabilizer pairs are not inverse-closed at {list(w.word)}"
                 )
-            for w2, chi2 in entries:
-                product = ctx.weyl.mult(w1, w2)
-                twist = param_add(chi1, weyl_act(w1, chi2))
-                if not has(product, twist):
-                    raise EngineRejection(
-                        "stabilizer pairs are not closed under composition at "
-                        f"({list(w1.word)}, {list(w2.word)})"
+
+        reached, gens = [one], []
+        walked = {one: 0}  # reached pair -> how many generators it was multiplied by
+        for candidate in elements:
+            if candidate in walked:
+                continue
+            gens.append(candidate)
+            for key in reached:  # the list grows during the walk
+                x, x_table = elements[key], key[1]
+                x_inv = weyl.inv(x).perm
+                for g_key in gens[walked[key]:]:
+                    g = elements[g_key]
+                    product = (
+                        weyl.mult(x, g).perm,
+                        table_sum(x_table, table_act(rs, x_inv, g_key[1])),
                     )
+                    if product not in elements:
+                        raise EngineRejection(
+                            "stabilizer pairs are not closed under composition at "
+                            f"({list(x.word)}, {list(g.word)})"
+                        )
+                    if product not in walked:
+                        walked[product] = 0
+                        reached.append(product)
+                walked[key] = len(gens)
 
 
 def unramified_oracle(ctx: LeviContext, lam: UnramifiedParam):
@@ -166,10 +204,6 @@ def explicit_oracle(pairs, mu_zero=None, corank_irred=None):
 
 
 # -- core operations ---------------------------------------------------------
-
-
-def stabilizer_sigma_nu(ctx: LeviContext, nu: UnramifiedParam, oracle: SigmaOracle) -> tuple:
-    return oracle.datum_stabilizer(ctx, nu)
 
 
 def phi_sigma_nu_0(ctx: LeviContext, stab) -> frozenset:

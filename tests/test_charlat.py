@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from rgroups import (
     trivial_param,
     weyl_act,
 )
-from rgroups.charlat import is_quadratic, param_add
+from rgroups.charlat import is_quadratic, param_add, table_act, value_table
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -190,3 +191,41 @@ def test_same_character_mod_one(context):
     c = param_from_coords(ctx.rs, (), ["0"], ["1/3"], basis="fundamental-weight")
     assert same_character(a, b)
     assert not same_character(a, c)
+
+
+TABLE_SYSTEMS = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
+]
+
+
+@pytest.mark.parametrize("family, rank", TABLE_SYSTEMS)
+def test_value_tables_pin_same_character_and_weyl_act(system, family, rank):
+    rs, weyl = system(family, rank)
+    rnd = random.Random(f"{family}{rank}")
+    values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3, 4)]
+
+    def vector():
+        return [rnd.choice(values) for _ in range(rank)]
+
+    def shifted(v, root, k):
+        return [x + k * c for x, c in zip(v, root)]
+
+    outcomes = set()
+    for _ in range(24):
+        a = UnramifiedParam(rs, (), vector(), vector())
+        root = rs.roots[rnd.randrange(len(rs.roots))]
+        k = rnd.choice([Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(1, 3)])
+        # a root pairs integrally with every coroot, so an integral torsion
+        # shift keeps the character and a fractional one may not
+        for b in (
+            UnramifiedParam(rs, (), a.q_part, shifted(a.t_part, root, k)),
+            UnramifiedParam(rs, (), shifted(a.q_part, root, k), a.t_part),
+            UnramifiedParam(rs, (), vector(), vector()),
+        ):
+            same = same_character(a, b)
+            assert (value_table(a) == value_table(b)) == same
+            outcomes.add(same)
+        w = rnd.choice(weyl.elements)
+        assert table_act(rs, weyl.inv(w).perm, value_table(a)) == value_table(weyl_act(w, a))
+    assert outcomes == {True, False}

@@ -68,6 +68,29 @@ def test_decide_gps_oracle_roundtrip(tmp_path):
     assert report["r_modified"]["order"] == 1
 
 
+def test_decide_gps_open_stabilizer_pairs_is_engine_rejection(tmp_path, capsys):
+    # {1, s1, s2} in A2 is not closed: s1 s2 is missing
+    payload = {
+        "family": "A",
+        "rank": 2,
+        "character": {},
+        "sigma": {
+            "stab_pairs": [{"word": []}, {"word": [1]}, {"word": [2]}],
+            "mu_zero": [],
+            "corank_irred": [
+                {"direction": d, "value": True} for d in ([1, 0], [0, 1], [1, 1])
+            ],
+        },
+    }
+    code, text = run_cli(tmp_path, "decide-gps", payload)
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    diagnostic = json.loads(err[0])
+    assert diagnostic["error"] == "EngineRejection"
+    assert "not closed under composition" in diagnostic["message"]
+
+
 def test_unknown_key_is_schema_error(tmp_path):
     code, _ = run_cli(tmp_path, "decompose", {"family": "A", "rank": 2, "bogus": 1})
     assert code == 2

@@ -1,6 +1,9 @@
 from itertools import product
+from math import log2
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgroups import (
     EngineRejection,
@@ -14,13 +17,19 @@ from rgroups import (
     phi_sigma_nu_0,
     product_formula_count,
     r_group,
-    stabilizer_sigma_nu,
     translate_datum,
     trivial_param,
     trivial_twist_oracle,
     conjecture_predict,
 )
-from rgroups.charlat import eval_on_coroot, stabilizer
+from rgroups.charlat import (
+    UnramifiedParam,
+    eval_on_coroot,
+    param_add,
+    same_character,
+    stabilizer,
+    weyl_act,
+)
 from rgroups.criterion import unramified_oracle
 from rgroups.levi import split_reflections
 
@@ -35,21 +44,21 @@ def test_stabilizer_with_minimal_oracle(context):
     ctx = context("A", 2, ())
     oracle = explicit_oracle(((ctx.weyl.identity, trivial_param(ctx.rs, ())),))
     nu = fw(ctx, [0, 0], [0, 0])
-    assert stabilizer_sigma_nu(ctx, nu, oracle) == (ctx.weyl.identity,)
+    assert oracle.datum_stabilizer(ctx, nu) == (ctx.weyl.identity,)
 
 
 def test_stabilizer_quadratic_sl2(context):
     ctx = context("A", 1, ())
     lam = fw(ctx, [0], ["1/2"])
     nu, oracle = unramified_oracle(ctx, lam)
-    assert len(stabilizer_sigma_nu(ctx, nu, oracle)) == 2
+    assert len(oracle.datum_stabilizer(ctx, nu)) == 2
 
 
 def test_stabilizer_block_swap(context):
     ctx = context("A", 3, (0, 2))
     oracle = trivial_twist_oracle(ctx)  # every relative element fixes sigma
     nu = trivial_param(ctx.rs, ctx.theta)
-    assert len(stabilizer_sigma_nu(ctx, nu, oracle)) == 2
+    assert len(oracle.datum_stabilizer(ctx, nu)) == 2
 
 
 def test_phi_sigma_nu_0_contrast(context):
@@ -57,7 +66,7 @@ def test_phi_sigma_nu_0_contrast(context):
     ctx = context("A", 1, ())
     lam = fw(ctx, [0], ["1/2"])
     nu, oracle = unramified_oracle(ctx, lam)
-    stab = stabilizer_sigma_nu(ctx, nu, oracle)
+    stab = oracle.datum_stabilizer(ctx, nu)
     assert phi_sigma_nu_0(ctx, stab) == frozenset({0})
     assert phi_sigma_nu_0(ctx, (ctx.weyl.identity,)) == frozenset()
 
@@ -66,7 +75,7 @@ def test_r_group_both_readings_sl2(context):
     ctx = context("A", 1, ())
     lam = fw(ctx, [0], ["1/2"])
     nu, oracle = unramified_oracle(ctx, lam)
-    stab = stabilizer_sigma_nu(ctx, nu, oracle)
+    stab = oracle.datum_stabilizer(ctx, nu)
     # datum-fixed reading: the reflection accounts for the full stabilizer
     small, comp = r_group(ctx, stab, frozenset({0}))
     assert len(small) == 2 and len(comp) == 1
@@ -97,7 +106,7 @@ def test_knapp_stein_ladder_cases(context):
     ctx = context("A", 1, ())
     lam = fw(ctx, [0], ["1/2"])
     nu, oracle = unramified_oracle(ctx, lam)
-    stab = stabilizer_sigma_nu(ctx, nu, oracle)
+    stab = oracle.datum_stabilizer(ctx, nu)
     phi0 = phi_sigma_nu_0(ctx, stab)
     small, comp = r_group(ctx, stab, phi0)
 
@@ -403,3 +412,153 @@ def test_split_reflections_checks_the_order_product(context):
     with pytest.raises(InvariantViolation, match=r"stabilizer splitting: \|G\| = 3 != 2 \* 2"):
         r_group(ctx, dropped, fixed)
 
+
+# -- the laws of validate_pairs, each made to fire -----------------------------
+
+
+def _word(ctx, *letters):
+    return ctx.weyl.element_from_word([i - 1 for i in letters])
+
+
+def _rejects(ctx, pairs, match):
+    with pytest.raises(EngineRejection, match=match):
+        explicit_oracle(pairs).validate_pairs(ctx)
+
+
+def test_validate_pairs_rejects_an_element_outside_wm(context):
+    ctx = context("A", 3, (1,))
+    triv = trivial_param(ctx.rs, ctx.theta)
+    _rejects(ctx, ((ctx.weyl.identity, triv), (_word(ctx, 1), triv)),
+             r"element \[0\] is not in the relative Weyl group")
+
+
+def test_validate_pairs_rejects_a_missing_identity(context):
+    ctx = context("A", 2, ())
+    triv = trivial_param(ctx.rs, ())
+    quadratic = fw(ctx, [0, 0], ["1/2", "1/2"])
+    for pairs in (((_word(ctx, 1), triv),), ((ctx.weyl.identity, quadratic),)):
+        _rejects(ctx, pairs, r"must contain \(identity, trivial\)")
+
+
+def test_validate_pairs_rejects_a_missing_inverse(context):
+    ctx = context("A", 2, ())
+    triv = trivial_param(ctx.rs, ())
+    _rejects(ctx, ((ctx.weyl.identity, triv), (_word(ctx, 1, 2), triv)),
+             r"not inverse-closed at \[0, 1\]")
+
+
+def test_validate_pairs_rejects_an_open_product(context):
+    ctx = context("A", 2, ())
+    triv = trivial_param(ctx.rs, ())
+    pairs = ((ctx.weyl.identity, triv), (_word(ctx, 1), triv), (_word(ctx, 2), triv))
+    _rejects(ctx, pairs, "not closed under composition")
+
+
+def test_validate_pairs_rejects_twists_that_break_closure(context):
+    # the elements are all of W(A2), and every pair has its inverse in the
+    # set: the reflection in the highest root fixes the quadratic twist
+    # (1/2)(alpha_1 + alpha_2), so that pair is its own inverse.  Only the
+    # twists break closure, e.g. (s1 s2, 0)(s1, 0) = (s1 s2 s1, 0)
+    ctx = context("A", 2, ())
+    triv = trivial_param(ctx.rs, ())
+    chi = UnramifiedParam(ctx.rs, (), ["0", "0"], ["1/2", "1/2"])
+    reflection = _word(ctx, 1, 2, 1)
+    assert same_character(weyl_act(reflection, chi), chi)
+    pairs = tuple(
+        (w, chi if w == reflection else triv) for w in ctx.weyl.elements
+    )
+    _rejects(ctx, pairs, "not closed under composition")
+    explicit_oracle(tuple((w, triv) for w in ctx.weyl.elements)).validate_pairs(ctx)
+
+
+def test_validate_pairs_composes_on_generators_only(context, monkeypatch):
+    # all of W_M for F4, theta = {1}: |S| = 48, so at most 48 * 5 products
+    ctx = context("F", 4, (0,))
+    triv = trivial_param(ctx.rs, ctx.theta)
+    size = len(ctx.wm.reps)
+    assert size == 48
+    calls = []
+    mult = ctx.weyl.mult
+    monkeypatch.setattr(ctx.weyl, "mult", lambda a, b: calls.append(1) or mult(a, b))
+    explicit_oracle(tuple((w, triv) for w in ctx.wm.reps)).validate_pairs(ctx)
+    assert size <= len(calls) <= size * int(log2(size))
+
+
+def _exhaustive_laws(ctx, pairs) -> bool:
+    """Reference for validate_pairs: every law checked on every pair and on
+    all |S|^2 products, each membership by a linear scan."""
+    rs, weyl = ctx.rs, ctx.weyl
+
+    def has(target, twist):
+        return any(w.perm == target.perm and same_character(chi, twist) for w, chi in pairs)
+
+    def neg(chi):
+        return UnramifiedParam(rs, chi.theta, [-x for x in chi.q_part], [-x for x in chi.t_part])
+
+    reps = {w.perm for w in ctx.wm.reps}
+    if any(w.perm not in reps for w, _ in pairs):
+        return False
+    if not has(weyl.identity, trivial_param(rs, ctx.theta)):
+        return False
+    for w1, chi1 in pairs:
+        inv = weyl.inv(w1)
+        if not has(inv, neg(weyl_act(inv, chi1))):
+            return False
+        for w2, chi2 in pairs:
+            if not has(weyl.mult(w1, w2), param_add(chi1, weyl_act(w1, chi2))):
+                return False
+    return True
+
+
+CLOSURE_LEVIS = [("A", 2, ()), ("B", 2, ()), ("G", 2, ()), ("B", 3, (2,)), ("A", 3, (1,))]
+TORSION = ["0", "0", "1/2", "1/3", "1/4"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_validate_pairs_agrees_with_the_exhaustive_laws(context, data):
+    ctx = context(*data.draw(st.sampled_from(CLOSURE_LEVIS)))
+    reps = ctx.wm.reps
+
+    def character(q_values):
+        def coords(values):
+            return [
+                "0" if i in ctx.theta else data.draw(st.sampled_from(values))
+                for i in range(ctx.rs.rank)
+            ]
+
+        return fw(ctx, coords(q_values), coords(TORSION))
+
+    gens = data.draw(st.lists(st.sampled_from(reps), min_size=1, max_size=2))
+    # twists by the cocycle w.sigma - sigma make a twisted subgroup
+    sigma = character(["0", "0", "1", "-1/2"])
+    minus_sigma = UnramifiedParam(
+        ctx.rs, ctx.theta, [-x for x in sigma.q_part], [-x for x in sigma.t_part]
+    )
+
+    def cocycle(w):
+        return param_add(weyl_act(w, sigma), minus_sigma)
+
+    pairs = [(w, cocycle(w)) for w in ctx.weyl.closure(gens)]
+    mutation = data.draw(st.sampled_from(["none", "drop", "add", "retwist", "duplicate"]))
+    k = data.draw(st.sampled_from(range(len(pairs))))
+    if mutation == "drop":
+        pairs.pop(k)
+    elif mutation == "add":
+        w = data.draw(st.sampled_from(reps))
+        twist = data.draw(st.sampled_from(["cocycle", "other"]))
+        pairs.append((w, cocycle(w) if twist == "cocycle" else character(["0"])))
+    elif mutation == "retwist":
+        w, chi = pairs[k]
+        pairs[k] = (w, param_add(chi, character(["0", "1"])))
+    elif mutation == "duplicate":
+        pairs.append(pairs[k])
+    pairs = data.draw(st.permutations(pairs))
+
+    expected = _exhaustive_laws(ctx, pairs)
+    try:
+        explicit_oracle(pairs).validate_pairs(ctx)
+        accepted = True
+    except EngineRejection:
+        accepted = False
+    assert accepted == expected
